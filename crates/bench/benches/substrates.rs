@@ -5,10 +5,7 @@
 //! Regenerate with `cargo bench -p ij-bench --bench substrates`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_bench::{
-    dense_workload, evaluate_all_disjuncts, evaluate_all_disjuncts_rows, materialise_rows,
-    scaling_workload,
-};
+use ij_bench::{dense_workload, evaluate_all_disjuncts, scaling_workload};
 use ij_ejoin::EjStrategy;
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::triangle_ij;
@@ -95,32 +92,6 @@ fn bench_ej_strategies(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| evaluate_all_disjuncts(&reduction, strategy))
-        });
-    }
-    group.finish();
-}
-
-/// Ablation of the interned columnar refactor: the same reduced E1 cyclic
-/// (triangle) instance evaluated with the pre-refactor row-oriented
-/// `Value`-keyed generic join versus the production id-keyed path.
-fn bench_row_vs_interned(c: &mut Criterion) {
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-row-vs-interned");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for n in [200usize, 400] {
-        let db = scaling_workload(&query, n, 21);
-        let reduction = forward_reduction(&query, &db).unwrap();
-        // Rows are materialised outside the timed region: the pre-refactor
-        // engine stored rows directly, so row access must not be billed to
-        // the baseline.
-        let rows = materialise_rows(&reduction.database);
-        group.bench_with_input(BenchmarkId::new("row-oriented", n), &n, |b, _| {
-            b.iter(|| evaluate_all_disjuncts_rows(&reduction, &rows))
-        });
-        group.bench_with_input(BenchmarkId::new("interned-columnar", n), &n, |b, _| {
-            b.iter(|| evaluate_all_disjuncts(&reduction, EjStrategy::GenericJoin))
         });
     }
     group.finish();
@@ -489,65 +460,6 @@ fn bench_tenant_fairness(c: &mut Criterion) {
     group.finish();
 }
 
-/// Trie layout ablation: the same reduced E1 cyclic workload evaluated cold
-/// (a fresh engine per iteration, so every trie is built and searched within
-/// the measured region) under the hash-map layout, the flat CSR leapfrog
-/// layout, and the size-based `Auto` resolution.  The database is planted
-/// unsatisfiable so every deduplicated disjunct runs the full search.  The
-/// three layouts are asserted answer-identical and their per-layout atom
-/// counts printed before the timed runs.
-fn bench_flat_trie(c: &mut Criterion) {
-    use ij_engine::TrieLayout;
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-flat-trie");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(4));
-    let n = 400usize;
-    let db = planted_unsatisfiable(
-        &query,
-        &WorkloadConfig {
-            tuples_per_relation: n,
-            seed: 47,
-            distribution: IntervalDistribution::GridAligned {
-                span: 4.0 * n as f64,
-                cells: (2 * n) as u32,
-                max_cells: 3,
-            },
-        },
-    );
-    let reduction = forward_reduction(&query, &db).unwrap();
-    let layouts = [
-        ("hash", TrieLayout::Hash),
-        ("flat", TrieLayout::Flat),
-        ("auto", TrieLayout::Auto),
-    ];
-    for (name, layout) in layouts {
-        let config = EngineConfig::new()
-            .with_parallelism(1)
-            .with_trie_layout(layout);
-        let stats = IntersectionJoinEngine::new(config)
-            .evaluate_reduction(&reduction)
-            .unwrap();
-        assert!(!stats.answer, "workload must force a full pass");
-        println!(
-            "substrate/e1-flat-trie/n{n}/{name}: {} hash / {} flat atom uses \
-             across {} disjuncts",
-            stats.hash_layout_atoms, stats.flat_layout_atoms, stats.ej_queries_total,
-        );
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            b.iter(|| {
-                IntersectionJoinEngine::new(config)
-                    .evaluate_reduction(&reduction)
-                    .unwrap()
-                    .answer
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Sharded versus unsharded trie builds on the same workload (wall-clock
 /// parity is expected on a single-core container; the knob is verified
 /// answer-identical by the test suite).
@@ -746,13 +658,11 @@ criterion_group!(
     bench_segment_tree,
     bench_forward_reduction,
     bench_ej_strategies,
-    bench_row_vs_interned,
     bench_parallel_disjuncts,
     bench_trie_cache_reuse,
     bench_persistent_cache,
     bench_shared_warmth,
     bench_tenant_fairness,
-    bench_flat_trie,
     bench_trie_shards,
     bench_plan_order,
     bench_cancel_latency

@@ -6,12 +6,6 @@
 //! The helpers here cover timing, log–log exponent fitting, plain-text table
 //! rendering and the standard workloads used across experiments.
 
-mod rowjoin;
-
-pub use rowjoin::{
-    evaluate_all_disjuncts_rows, materialise_rows, row_generic_join_boolean, RowDb, RowTrie,
-};
-
 use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy};
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};

@@ -13,31 +13,20 @@
 //! intersects, probes and collects dense `u32` ids end to end and only
 //! resolves values at the API boundary.
 //!
-//! # Trie layouts
+//! # Leapfrog over flat tries
 //!
-//! Each atom's trie is built in one of two layouts
-//! ([`TrieLayout`](crate::TrieLayout), selected per atom at build time):
-//!
-//! * **hash** ([`AtomTrie`](crate::AtomTrie)) — `HashMap` nodes, probed one
-//!   candidate at a time; the behavioural reference;
-//! * **flat** ([`FlatTrie`]) — CSR-style sorted value arrays per level.  When
-//!   every atom participating in a variable is flat, candidate generation is
-//!   a true leapfrog: the participating runs are multi-way intersected with
-//!   galloping seeks ([`kernels::leapfrog_next`]) and each match descends by
-//!   index arithmetic — no hashing, no per-candidate allocation.  Mixed
-//!   levels iterate the smallest position's candidates and probe the rest in
-//!   whichever layout each atom has (flat probes gallop,
-//!   [`kernels::gallop_seek`]).
-//!
-//! Layouts never change answers, only the intersection machinery; the
-//! property suite holds every layout combination to bit-identical results.
+//! Each atom is indexed as a [`FlatTrie`]: CSR-style sorted value arrays per
+//! level.  Candidate generation is a true leapfrog: the participating atoms'
+//! sorted runs are multi-way intersected with galloping seeks
+//! ([`kernels::leapfrog_next`]) and each match descends by index arithmetic —
+//! no hashing, no per-candidate allocation.
 //!
 //! # Caching and sharding
 //!
 //! The `*_with` variants take an [`EvalContext`]: tries are served from its
 //! [`TrieCache`](crate::TrieCache) when one is attached, and when the shard
 //! count exceeds one the atoms containing the first join variable are built
-//! as hash-partitioned sub-tries (`build_sharded` in either layout) and the
+//! as hash-partitioned sub-tries ([`FlatTrie::build_sharded`]) and the
 //! search fans out across shards on scoped threads.  Any full assignment
 //! binds the first join variable to a single value, which lives in exactly
 //! one shard — so the per-shard searches partition the result space and their
@@ -46,8 +35,8 @@
 
 use crate::atom::BoundAtom;
 use crate::cache::EvalContext;
-use crate::flat::{FlatTrie, TrieBuild};
-use crate::trie::{effective_shard_count, TrieNode};
+use crate::flat::FlatTrie;
+use crate::trie::effective_shard_count;
 use ij_hypergraph::VarId;
 use ij_relation::sync::lock_recover;
 
@@ -80,10 +69,9 @@ pub(crate) fn fold_shard_error(slot: &mut Option<EvalError>, e: EvalError) {
 ///
 /// `tries[i]` holds either a single trie (atom not sharded — it does not
 /// contain the split variable, or sharding is off) or `num_shards` sub-tries
-/// partitioned by the split variable's value hash, in whichever layout the
-/// build resolved to.
+/// partitioned by the split variable's value hash.
 struct JoinContext {
-    tries: Vec<Arc<TrieBuild>>,
+    tries: Vec<Arc<Vec<FlatTrie>>>,
     order: Vec<VarId>,
     /// For every order position, the atoms whose tries participate in that
     /// variable — precomputed once so the recursion never re-filters (or
@@ -138,7 +126,7 @@ impl JoinContext {
             }
             _ => 1,
         };
-        let tries: Vec<Arc<TrieBuild>> = atoms
+        let tries: Vec<Arc<Vec<FlatTrie>>> = atoms
             .iter()
             .map(|a| {
                 let shards = match split_var {
@@ -150,21 +138,14 @@ impl JoinContext {
                         a,
                         &order,
                         shards,
-                        eval.layout,
                         eval.tenant,
                         eval.activity,
                         eval.token,
                     )?,
-                    None => Arc::new(TrieBuild::build_sharded(
-                        a,
-                        &order,
-                        shards,
-                        eval.layout,
-                        eval.token,
-                    )?),
+                    None => Arc::new(FlatTrie::build_sharded(a, &order, shards, eval.token)?),
                 };
                 if let Some(activity) = eval.activity {
-                    activity.record_layout(t.layout());
+                    activity.record_atom();
                 }
                 Ok(t)
             })
@@ -173,7 +154,7 @@ impl JoinContext {
             .iter()
             .map(|v| {
                 (0..tries.len())
-                    .filter(|&i| tries[i].level_vars().contains(v))
+                    .filter(|&i| tries[i][0].level_vars.contains(v))
                     .collect()
             })
             .collect();
@@ -188,7 +169,7 @@ impl JoinContext {
     /// The sub-trie index of atom `i` effective in shard `shard` (unsharded
     /// atoms fall back to their single trie, correct for any shard number).
     fn shard_index(&self, i: usize, shard: usize) -> usize {
-        if self.tries[i].shard_count() == 1 {
+        if self.tries[i].len() == 1 {
             0
         } else {
             shard
@@ -197,22 +178,17 @@ impl JoinContext {
 
     /// Atom `i`'s root position for one shard.
     fn root_pos(&self, i: usize, shard: usize) -> Pos<'_> {
-        let shard = self.shard_index(i, shard);
-        match &*self.tries[i] {
-            TrieBuild::Hash(tries) => Pos::Hash(tries[shard].root()),
-            TrieBuild::Flat(tries) => {
-                let trie = &tries[shard];
-                if trie.depth() == 0 {
-                    Pos::Leaf
-                } else {
-                    Pos::Flat {
-                        trie,
-                        level: 0,
-                        lo: 0,
-                        hi: trie.level_len(0),
-                    }
-                }
-            }
+        let trie = &self.tries[i][self.shard_index(i, shard)];
+        let hi = if trie.depth() == 0 {
+            0
+        } else {
+            trie.level_len(0)
+        };
+        Pos {
+            trie,
+            level: 0,
+            lo: 0,
+            hi,
         }
     }
 
@@ -226,83 +202,54 @@ impl JoinContext {
     /// True if some atom's sub-trie for this shard is empty (the shard's
     /// intersection is necessarily empty, so the search can be skipped).
     fn shard_is_dead(&self, shard: usize) -> bool {
-        (0..self.tries.len()).any(|i| self.tries[i].shard_is_empty(self.shard_index(i, shard)))
+        (0..self.tries.len()).any(|i| self.tries[i][self.shard_index(i, shard)].is_empty())
     }
 }
 
-/// One atom's cursor into its trie during the search — the layout-generic
-/// "current node".  `Copy`, so saving and restoring a frame's participating
+/// One atom's cursor into its trie during the search: the candidate values
+/// `trie.run(level, lo, hi)` — one parent's sorted, distinct children.  Once
+/// the atom's full path is consumed, `level == trie.depth()` and the run is
+/// empty; such a position never participates in a later variable, so it is
+/// never read.  `Copy`, so saving and restoring a frame's participating
 /// positions copies a few words instead of cloning a `Vec` per candidate.
 #[derive(Clone, Copy)]
-enum Pos<'t> {
-    /// A hash-trie node.
-    Hash(&'t TrieNode),
-    /// A flat-trie run: the candidate values `trie.run(level, lo, hi)` — one
-    /// parent's sorted, distinct children.
-    Flat {
-        /// The trie this cursor ranges over.
-        trie: &'t FlatTrie,
-        /// Current level.
-        level: usize,
-        /// Run start (absolute index into the level's value array).
-        lo: u32,
-        /// Run end (exclusive).
-        hi: u32,
-    },
-    /// Past the deepest level of a flat trie: the atom's full path is
-    /// consumed.  Leaf positions never participate in a later variable, so
-    /// they are never descended or fanned out.
-    Leaf,
+struct Pos<'t> {
+    /// The trie this cursor ranges over.
+    trie: &'t FlatTrie,
+    /// Current level.
+    level: usize,
+    /// Run start (absolute index into the level's value array).
+    lo: u32,
+    /// Run end (exclusive).
+    hi: u32,
 }
 
 impl<'t> Pos<'t> {
-    /// The number of candidate values this position offers.
-    fn fanout(self) -> usize {
-        match self {
-            Pos::Hash(node) => node.fanout(),
-            Pos::Flat { lo, hi, .. } => (hi - lo) as usize,
-            Pos::Leaf => 0,
-        }
+    /// The candidate values this position offers.
+    fn run(self) -> &'t [ValueId] {
+        self.trie.run(self.level, self.lo, self.hi)
     }
 
-    /// Descends into `value`: the position below it, or `None` if this atom
-    /// does not offer `value` here.  Hash positions probe the node map; flat
-    /// positions gallop the sorted run ([`kernels::gallop_seek`]).
-    fn descend(self, value: ValueId) -> Option<Pos<'t>> {
-        match self {
-            Pos::Hash(node) => node.child(value).map(Pos::Hash),
-            Pos::Flat {
+    /// The position below the run's `offset`-th value: its child run one
+    /// level deeper, or the consumed position past the deepest level.
+    fn down(self, offset: usize) -> Pos<'t> {
+        let Pos { trie, level, .. } = self;
+        if level + 1 < trie.depth() {
+            let (lo, hi) = trie.child_range(level, self.lo + offset as u32);
+            Pos {
                 trie,
-                level,
+                level: level + 1,
                 lo,
                 hi,
-            } => {
-                let run = trie.run(level, lo, hi);
-                let at = kernels::gallop_seek(run, 0, value);
-                if at < run.len() && run[at] == value {
-                    Some(down(trie, level, lo + at as u32))
-                } else {
-                    None
-                }
             }
-            Pos::Leaf => None,
+        } else {
+            Pos {
+                trie,
+                level: trie.depth(),
+                lo: 0,
+                hi: 0,
+            }
         }
-    }
-}
-
-/// The position below entry `index` of `level`: the child run one level
-/// deeper, or [`Pos::Leaf`] when `level` is the deepest.
-fn down(trie: &FlatTrie, level: usize, index: u32) -> Pos<'_> {
-    if level + 1 < trie.depth() {
-        let (lo, hi) = trie.child_range(level, index);
-        Pos::Flat {
-            trie,
-            level: level + 1,
-            lo,
-            hi,
-        }
-    } else {
-        Pos::Leaf
     }
 }
 
@@ -502,24 +449,16 @@ pub fn generic_join_enumerate_with(
 /// unwinds, so positions need no restoring); otherwise restores the
 /// participating positions and returns `false`.
 ///
-/// Only the participating atoms' positions are saved — a `Copy` of a few
-/// words each — replacing the old full-`positions` `Vec` clone per candidate.
-///
-/// Two intersection strategies:
-///
-/// * **all participating positions flat** — a true leapfrog
-///   ([`kernels::leapfrog_next`]): the sorted runs are multi-way intersected
-///   with galloping seeks, and each matched value descends every atom by
-///   index arithmetic off its aligned cursor, no probing at all;
-/// * **otherwise** — iterate the candidates of the smallest position
-///   (in whichever layout it has) and probe the remaining atoms' positions
-///   per candidate (hash positions probe the node map, flat positions gallop
-///   their run).
+/// The intersection is a true leapfrog ([`kernels::leapfrog_next`]): the
+/// participating sorted runs are multi-way intersected with galloping seeks,
+/// and each matched value descends every atom by index arithmetic off its
+/// aligned cursor, no probing at all.  Only the participating atoms'
+/// positions are saved — a `Copy` of a few words each.
 ///
 /// The ticker is threaded through every frame of the recursion (lent to
 /// `visit` and back), so the cancellation check interval is amortised over
 /// the *whole* search — one countdown across all depths — and ticked once per
-/// candidate considered, matched or not.
+/// matched candidate.
 fn intersect_candidates<'t, 'k>(
     ctx: &'t JoinContext,
     depth: usize,
@@ -529,93 +468,20 @@ fn intersect_candidates<'t, 'k>(
 ) -> Result<bool, EvalError> {
     let participating = &ctx.participating[depth];
     let saved: Vec<Pos<'t>> = participating.iter().map(|&i| positions[i]).collect();
-    if saved.iter().all(|p| matches!(p, Pos::Flat { .. })) {
-        let runs: Vec<&[ValueId]> = saved
-            .iter()
-            .map(|p| match p {
-                Pos::Flat {
-                    trie,
-                    level,
-                    lo,
-                    hi,
-                } => trie.run(*level, *lo, *hi),
-                // ij-analysis: allow(panic) — unreachable: guarded by the all-flat check above
-                _ => unreachable!("all positions checked flat"),
-            })
-            .collect();
-        let mut cursors = vec![0usize; runs.len()];
-        while let Some(value) = kernels::leapfrog_next(&runs, &mut cursors) {
-            ticker.tick()?;
-            // Every cursor points at `value`; descend by index.
-            for (slot, &i) in participating.iter().enumerate() {
-                let Pos::Flat {
-                    trie, level, lo, ..
-                } = saved[slot]
-                else {
-                    // ij-analysis: allow(panic) — unreachable: guarded by the all-flat check above
-                    unreachable!("all positions checked flat")
-                };
-                positions[i] = down(trie, level, lo + cursors[slot] as u32);
-            }
-            if visit(positions, ticker, value)? {
-                return Ok(true);
-            }
-            for c in cursors.iter_mut() {
-                *c += 1;
-            }
-        }
+    let runs: Vec<&[ValueId]> = saved.iter().map(|p| p.run()).collect();
+    let mut cursors = vec![0usize; runs.len()];
+    while let Some(value) = kernels::leapfrog_next(&runs, &mut cursors) {
+        ticker.tick()?;
+        // Every cursor points at `value`; descend by index.
         for (slot, &i) in participating.iter().enumerate() {
-            positions[i] = saved[slot];
+            positions[i] = saved[slot].down(cursors[slot]);
         }
-        return Ok(false);
-    }
-    // Mixed layouts (or pure hash): iterate the smallest candidate set,
-    // probe the others.  A failed probe leaves later slots stale, which is
-    // harmless: `visit` only ever runs after every slot was freshly written.
-    let smallest = (0..saved.len())
-        .min_by_key(|&slot| saved[slot].fanout())
-        // ij-analysis: allow(panic) — infallible: `participating` is non-empty at this level
-        .expect("participating atoms exist");
-    let try_value = |positions: &mut Vec<Pos<'t>>, value: ValueId, child: Pos<'t>| -> bool {
-        for (slot, &i) in participating.iter().enumerate() {
-            if slot == smallest {
-                positions[i] = child;
-                continue;
-            }
-            match saved[slot].descend(value) {
-                Some(next) => positions[i] = next,
-                None => return false,
-            }
+        if visit(positions, ticker, value)? {
+            return Ok(true);
         }
-        true
-    };
-    match saved[smallest] {
-        Pos::Hash(node) => {
-            for (value, child) in node.children() {
-                ticker.tick()?;
-                if try_value(positions, value, Pos::Hash(child)) && visit(positions, ticker, value)?
-                {
-                    return Ok(true);
-                }
-            }
+        for c in cursors.iter_mut() {
+            *c += 1;
         }
-        Pos::Flat {
-            trie,
-            level,
-            lo,
-            hi,
-        } => {
-            let run = trie.run(level, lo, hi);
-            for (r, &value) in run.iter().enumerate() {
-                ticker.tick()?;
-                let child = down(trie, level, lo + r as u32);
-                if try_value(positions, value, child) && visit(positions, ticker, value)? {
-                    return Ok(true);
-                }
-            }
-        }
-        // ij-analysis: allow(panic) — unreachable: leaves are filtered out of `participating`
-        Pos::Leaf => unreachable!("leaf positions never participate"),
     }
     for (slot, &i) in participating.iter().enumerate() {
         positions[i] = saved[slot];
@@ -942,7 +808,6 @@ mod tests {
     #[test]
     fn sharded_and_cached_joins_match_the_unsharded_baseline() {
         use crate::cache::TrieCache;
-        use crate::flat::TrieLayout;
         let mut seed = 99u64;
         let mut next = move || {
             seed = seed
@@ -965,31 +830,26 @@ mod tests {
             ];
             let expected = generic_join_boolean(&atoms, None);
             let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
-            let layouts = [TrieLayout::Hash, TrieLayout::Flat, TrieLayout::Auto];
             for shards in [1usize, 2, 3, 7] {
-                for layout in layouts {
-                    for cache_ref in [None, Some(&cache)] {
-                        let eval = EvalContext {
-                            cache: cache_ref,
-                            shards,
-                            layout,
-                            ..EvalContext::default()
-                        };
-                        assert_eq!(
-                            generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                            expected,
-                            "boolean, shards {shards}, layout {layout:?}, cached {}",
-                            cache_ref.is_some()
-                        );
-                        let out =
-                            generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-                        assert_eq!(
-                            out.tuples(),
-                            expected_out.tuples(),
-                            "enumerate, shards {shards}, layout {layout:?}, cached {}",
-                            cache_ref.is_some()
-                        );
-                    }
+                for cache_ref in [None, Some(&cache)] {
+                    let eval = EvalContext {
+                        cache: cache_ref,
+                        shards,
+                        ..EvalContext::default()
+                    };
+                    assert_eq!(
+                        generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                        expected,
+                        "boolean, shards {shards}, cached {}",
+                        cache_ref.is_some()
+                    );
+                    let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+                    assert_eq!(
+                        out.tuples(),
+                        expected_out.tuples(),
+                        "enumerate, shards {shards}, cached {}",
+                        cache_ref.is_some()
+                    );
                 }
             }
         }
@@ -1028,28 +888,17 @@ mod tests {
         assert!(expected, "the planted triangle must be found");
         let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
         for shards in [2usize, 4] {
-            for layout in [
-                crate::flat::TrieLayout::Hash,
-                crate::flat::TrieLayout::Flat,
-                crate::flat::TrieLayout::Auto,
-            ] {
-                let eval = EvalContext {
-                    cache: None,
-                    shards,
-                    layout,
-                    ..EvalContext::default()
-                };
-                assert_eq!(
-                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                    expected
-                );
-                let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-                assert_eq!(
-                    out.tuples(),
-                    expected_out.tuples(),
-                    "shards {shards}, layout {layout:?}"
-                );
-            }
+            let eval = EvalContext {
+                cache: None,
+                shards,
+                ..EvalContext::default()
+            };
+            assert_eq!(
+                generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                expected
+            );
+            let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+            assert_eq!(out.tuples(), expected_out.tuples(), "shards {shards}");
         }
     }
 

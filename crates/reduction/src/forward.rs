@@ -302,6 +302,11 @@ pub fn forward_reduction_with_token(
         trees.insert(var, tree);
     }
 
+    // Number of atoms containing each join interval variable (its `k`),
+    // computed once for every transformed relation of the reduction.
+    let degrees: BTreeMap<VarId, usize> =
+        trees.keys().map(|&v| (v, hypergraph.degree(v))).collect();
+
     // --- structural reduction ----------------------------------------------
     let reduced_structures = full_reduction(&hypergraph);
     stats.num_queries = reduced_structures.len();
@@ -335,7 +340,7 @@ pub fn forward_reduction_with_token(
                     reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
                 if !built.contains_key(&name) {
                     let relation = build_transformed_relation(
-                        q, db, atom_idx, levels, &trees, &name, &var_ids, token,
+                        q, db, atom_idx, levels, &trees, &degrees, &name, &var_ids, token,
                     )?;
                     stats.transformed_tuples += relation.len();
                     stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
@@ -376,7 +381,7 @@ pub fn forward_reduction_with_token(
                 let var_name = &atom.vars[column];
                 let var_id = var_ids[var_name];
                 let level = levels[&var_id];
-                let k = hypergraph.degree(var_id);
+                let k = degrees[&var_id];
                 let part_name = format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var_name, level);
                 if !built.contains_key(&part_name) {
                     let relation = build_part_relation(
@@ -558,7 +563,9 @@ fn reduced_relation_signature(
 }
 
 /// Builds the transformed relation of one atom under a level assignment
-/// (Definition 4.9, applied once per interval variable of the atom).
+/// (Definition 4.9, applied once per interval variable of the atom);
+/// `degrees` holds each join interval variable's `k`, the number of atoms
+/// containing it.
 #[allow(clippy::too_many_arguments)]
 fn build_transformed_relation(
     q: &Query,
@@ -566,6 +573,7 @@ fn build_transformed_relation(
     atom_idx: usize,
     levels: &BTreeMap<VarId, usize>,
     trees: &BTreeMap<VarId, SegmentTree>,
+    degrees: &BTreeMap<VarId, usize>,
     name: &str,
     var_ids: &BTreeMap<String, VarId>,
     token: Option<&CancellationToken>,
@@ -573,11 +581,6 @@ fn build_transformed_relation(
     faults::point("reduction-transform");
     let atom = &q.atoms()[atom_idx];
     let source = db.relation(&atom.relation).expect("validated");
-    let hypergraph_k: BTreeMap<VarId, usize> = {
-        // Number of atoms containing each interval variable (its `k`).
-        let (h, _) = q.hypergraph();
-        levels.keys().map(|&v| (v, h.degree(v))).collect()
-    };
 
     // Column plan: carried columns copy their value, interval columns expand
     // into `level` bitstring columns.
@@ -601,7 +604,7 @@ fn build_transformed_relation(
                     column: col,
                     var,
                     level,
-                    k: hypergraph_k[&var],
+                    k: degrees[&var],
                 });
                 arity += level;
             }

@@ -51,7 +51,7 @@ use std::time::Duration;
 /// this module and flags any literal that is not declared here, so a typo
 /// like `"cache-isnert"` fails `check` instead of silently never firing.
 pub mod sites {
-    /// Inside the per-shard trie build loop (`TrieBuild::build_sharded`).
+    /// Inside the per-shard trie build loop (`FlatTrie::build_sharded`).
     pub const TRIE_BUILD: &str = "trie-build";
     /// Under the trie cache's map write lock, just before a built trie is
     /// published into its slot.

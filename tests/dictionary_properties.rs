@@ -1,9 +1,9 @@
 //! Property tests for the interned columnar core: the value dictionary
 //! (intern/resolve round-trips, dedup, ordering stability) and the
-//! equivalence of the `u32`-keyed hash tries with a reference `Value`-keyed
+//! equivalence of the `u32`-keyed flat tries with a reference `Value`-keyed
 //! trie on random workloads.
 
-use ij_ejoin::{generic_join_boolean, AtomTrie, BoundAtom, TrieNode};
+use ij_ejoin::{generic_join_boolean, BoundAtom, FlatTrie};
 use ij_hypergraph::VarId;
 use ij_relation::{Dictionary, Relation, Value, ValueId};
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ impl ValueTrie {
         }
     }
 
-    /// Builds the trie exactly like [`AtomTrie::build`], but over rows of
+    /// Builds the trie exactly like [`FlatTrie::build`], but over rows of
     /// values: distinct variables in global order, repeated columns filtered
     /// by value equality.
     fn build(relation: &Relation, vars: &[VarId], global_order: &[VarId]) -> Self {
@@ -70,18 +70,61 @@ impl ValueTrie {
     }
 }
 
-/// Asserts that an id-keyed trie node and a value-keyed trie node describe
-/// the same set of paths.
-fn assert_same_trie(id_node: &TrieNode, value_node: &ValueTrie) {
-    assert_eq!(id_node.fanout(), value_node.children.len());
-    for (id, id_child) in id_node.children() {
-        let value = id.resolve();
-        let value_child = value_node
-            .children
-            .get(&value)
-            .unwrap_or_else(|| panic!("value {value:?} missing from reference trie"));
-        assert_same_trie(id_child, value_child);
+impl ValueTrie {
+    /// Every root-to-leaf path of a trie with `depth` levels, in key order.
+    fn paths(&self, depth: usize) -> Vec<Vec<Value>> {
+        if depth == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for (value, child) in &self.children {
+            for mut rest in child.paths(depth - 1) {
+                rest.insert(0, *value);
+                out.push(rest);
+            }
+        }
+        out
     }
+}
+
+/// Every root-to-leaf path of a flat trie, with ids resolved to values.
+fn flat_value_paths(trie: &FlatTrie) -> Vec<Vec<Value>> {
+    fn rec(
+        trie: &FlatTrie,
+        level: usize,
+        lo: u32,
+        prefix: &mut Vec<Value>,
+        run: &[ValueId],
+        out: &mut Vec<Vec<Value>>,
+    ) {
+        for (i, id) in run.iter().enumerate() {
+            prefix.push(id.resolve());
+            if level + 1 < trie.depth() {
+                let (clo, chi) = trie.child_range(level, lo + i as u32);
+                rec(
+                    trie,
+                    level + 1,
+                    clo,
+                    prefix,
+                    trie.run(level + 1, clo, chi),
+                    out,
+                );
+            } else {
+                out.push(prefix.clone());
+            }
+            prefix.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(
+        trie,
+        0,
+        0,
+        &mut Vec::new(),
+        trie.run(0, 0, trie.level_len(0)),
+        &mut out,
+    );
+    out
 }
 
 proptest! {
@@ -122,8 +165,8 @@ proptest! {
         }
     }
 
-    /// The u32-keyed trie of the join engine is structurally identical to the
-    /// reference Value-keyed trie on random relations, including repeated
+    /// The u32-keyed flat trie of the join engine holds exactly the paths of
+    /// the reference Value-keyed trie on random relations, including repeated
     /// variables (filters) and both level orders.
     #[test]
     fn id_trie_matches_value_trie(rows in arb_rows(20), repeated in 0u32..3) {
@@ -139,9 +182,13 @@ proptest! {
         );
         for order in [vec![0, 1], vec![1, 0]] {
             let atom = BoundAtom::new(&relation, vars.clone());
-            let id_trie = AtomTrie::build(&atom, &order);
+            let id_trie = FlatTrie::build(&atom, &order);
             let value_trie = ValueTrie::build(&relation, &vars, &order);
-            assert_same_trie(id_trie.root(), &value_trie);
+            let depth = if repeated == 2 { 1 } else { 2 };
+            prop_assert_eq!(id_trie.depth(), depth);
+            let mut got = flat_value_paths(&id_trie);
+            got.sort();
+            prop_assert_eq!(got, value_trie.paths(depth));
         }
     }
 
