@@ -6,7 +6,7 @@
 //! The helpers here cover timing, log–log exponent fitting, plain-text table
 //! rendering and the standard workloads used across experiments.
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy, EvalContext};
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
@@ -129,7 +129,11 @@ pub fn evaluate_all_disjuncts(reduction: &ForwardReduction, strategy: EjStrategy
                 BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
             })
             .collect();
-        if evaluate_ej_boolean(&atoms, strategy) {
+        // Without a token the only possible error is a trie-build worker
+        // panic, which a benchmark surfaces as a panic.
+        if evaluate_ej_boolean(&atoms, strategy, EvalContext::default())
+            .unwrap_or_else(|e| panic!("disjunct {i}: {e}"))
+        {
             answer = true;
         }
     }

@@ -355,11 +355,11 @@ struct CacheSlot {
 /// The engine owns one cache per engine instance and hands it to every
 /// disjunct worker of every [`evaluate_reduction`] call; standalone users of
 /// the ejoin crate can share one across any sequence of
-/// [`evaluate_ej_boolean_with`] calls (the cache stores owned tries, so
+/// [`evaluate_ej_boolean`] calls (the cache stores owned tries, so
 /// there is no borrow coupling to the source relations).
 ///
 /// [`evaluate_reduction`]: https://docs.rs/ij-engine
-/// [`evaluate_ej_boolean_with`]: crate::evaluate_ej_boolean_with
+/// [`evaluate_ej_boolean`]: crate::evaluate_ej_boolean
 #[derive(Debug, Default)]
 pub struct TrieCache {
     /// Maximum resident entries; `0` means unbounded.  When full, inserting
@@ -706,15 +706,14 @@ impl TrieCache {
 /// which tenant the lookups are performed as, and which evaluation-local
 /// accumulator they are counted into.
 ///
-/// The `*_with` entry points ([`evaluate_ej_boolean_with`],
-/// [`generic_join_boolean_with`], …) take an `EvalContext` and thread it down
+/// Every evaluation function ([`evaluate_ej_boolean`],
+/// [`generic_join_boolean`], …) takes an `EvalContext` and threads it down
 /// to every trie build of the evaluation — including the per-bag joins of the
-/// decomposition-guided strategy.  The plain entry points use
-/// `EvalContext::default()`: no cache, no sharding, the default tenant, no
-/// local accounting.
+/// decomposition-guided strategy.  `EvalContext::default()` means no cache,
+/// no sharding, the default tenant, no local accounting and no token.
 ///
-/// [`evaluate_ej_boolean_with`]: crate::evaluate_ej_boolean_with
-/// [`generic_join_boolean_with`]: crate::generic_join_boolean_with
+/// [`evaluate_ej_boolean`]: crate::evaluate_ej_boolean
+/// [`generic_join_boolean`]: crate::generic_join_boolean
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalContext<'c> {
     /// Trie cache shared across calls; `None` rebuilds tries every time.

@@ -10,11 +10,16 @@
 
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
-use crate::generic::{generic_join_boolean_with, generic_join_enumerate_with};
+use crate::generic::{generic_join_boolean, generic_join_enumerate};
 use crate::yannakakis::yannakakis_boolean;
 use ij_hypergraph::VarId;
+use ij_relation::sync::{read_recover, write_recover};
 use ij_relation::{EvalError, Relation};
 use ij_widths::{optimal_tree_decomposition, MAX_DP_VERTICES};
+
+/// Lock class of the process-global decomposition memo
+/// (`sync::lock_order`); a leaf: held only to probe or insert one entry.
+const TD_CACHE_CLASS: &str = "tree-decomposition-cache";
 
 /// The evaluation strategy for Boolean EJ queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,26 +45,22 @@ pub enum EjStrategy {
 /// applies analytically in Appendix E.4/F and keeps the per-query
 /// decomposition work proportional to the join structure rather than the
 /// schema width.
-pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
-    evaluate_ej_boolean_with(atoms, strategy, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`evaluate_ej_boolean`] with an explicit [`EvalContext`]: every trie built
-/// anywhere under the chosen strategy (the plain generic join, and the bag
-/// materialisations of the decomposition-guided evaluation) is served from
-/// the context's cache and sharded per its shard count — and every cache
-/// lookup is metered as the context's tenant and counted into the context's
-/// evaluation-local [`CacheActivity`](crate::CacheActivity) accumulator, if
-/// one is attached.  The answer is identical for every context.
+///
+/// Every trie built anywhere under the chosen strategy (the plain generic
+/// join, and the bag materialisations of the decomposition-guided
+/// evaluation) is served from the context's cache and sharded per its shard
+/// count — and every cache lookup is metered as the context's tenant and
+/// counted into the context's evaluation-local
+/// [`CacheActivity`](crate::CacheActivity) accumulator, if one is attached.
+/// The answer is identical for every context.
 ///
 /// # Errors
 ///
 /// Propagates the [`EvalError`] of any trie build or join search under the
 /// chosen strategy when the context's
 /// [`CancellationToken`](ij_relation::CancellationToken) fires or a build
-/// worker panics.  Tokenless contexts never fail.
-pub fn evaluate_ej_boolean_with(
+/// worker panics.  A tokenless context is never cancelled.
+pub fn evaluate_ej_boolean(
     atoms: &[BoundAtom<'_>],
     strategy: EjStrategy,
     eval: EvalContext<'_>,
@@ -82,19 +83,19 @@ pub fn evaluate_ej_boolean_with(
                 if let Some(answer) = yannakakis_boolean(&projected) {
                     Ok(answer)
                 } else if hypergraph_of(&projected).0.num_vertices() <= MAX_DP_VERTICES {
-                    decomposition_boolean_with(&projected, eval)
+                    decomposition_boolean(&projected, eval)
                 } else {
-                    generic_join_boolean_with(&projected, None, eval)
+                    generic_join_boolean(&projected, None, eval)
                 }
             } else {
-                decomposition_boolean_with(&projected, eval)
+                decomposition_boolean(&projected, eval)
             }
         }
         EjStrategy::Yannakakis => {
             Ok(yannakakis_boolean(atoms)
                 .expect("Yannakakis strategy requires an alpha-acyclic query"))
         }
-        EjStrategy::GenericJoin => generic_join_boolean_with(atoms, None, eval),
+        EjStrategy::GenericJoin => generic_join_boolean(atoms, None, eval),
     }
 }
 
@@ -135,20 +136,14 @@ fn project_singleton_variables(atoms: &[BoundAtom<'_>]) -> (Vec<Relation>, Vec<V
 
 /// Width-guided evaluation: materialise the bags of an optimal fractional
 /// hypertree decomposition with the generic join, then run Yannakakis over
-/// the (acyclic) bag query.
-pub fn decomposition_boolean(atoms: &[BoundAtom<'_>]) -> bool {
-    decomposition_boolean_with(atoms, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`decomposition_boolean`] with an explicit [`EvalContext`] threaded into
-/// every bag materialisation (and the generic-join fallback).
+/// the (acyclic) bag query.  The context is threaded into every bag
+/// materialisation (and the generic-join fallback).
 ///
 /// # Errors
 ///
 /// Propagates any bag materialisation's [`EvalError`] — a cancelled bag would
 /// under-approximate the join, so the whole evaluation fails instead.
-pub fn decomposition_boolean_with(
+pub fn decomposition_boolean(
     atoms: &[BoundAtom<'_>],
     eval: EvalContext<'_>,
 ) -> Result<bool, EvalError> {
@@ -176,18 +171,12 @@ pub fn decomposition_boolean_with(
             .iter()
             .map(|e| e.vertices.iter().copied().collect())
             .collect();
-        let cached = cache
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned();
+        let cached = read_recover(cache, TD_CACHE_CLASS).get(&key).cloned();
         match cached {
             Some(td) => td,
             None => {
                 let td = optimal_tree_decomposition(&h);
-                cache
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
+                write_recover(cache, TD_CACHE_CLASS)
                     .entry(key)
                     .or_insert_with(|| td.clone());
                 td
@@ -203,7 +192,7 @@ pub fn decomposition_boolean_with(
         .map(|(i, bag)| {
             let bag_vars: Vec<VarId> = bag.iter().map(|&dense| dense_to_caller[dense]).collect();
             Ok((
-                materialise_bag_with(atoms, &bag_vars, &format!("bag{i}"), eval)?,
+                materialise_bag(atoms, &bag_vars, &format!("bag{i}"), eval)?,
                 bag_vars,
             ))
         })
@@ -222,29 +211,22 @@ pub fn decomposition_boolean_with(
         .collect();
     match yannakakis_boolean(&bag_atoms) {
         Some(answer) => Ok(answer),
-        None => generic_join_boolean_with(&bag_atoms, None, eval),
+        None => generic_join_boolean(&bag_atoms, None, eval),
     }
 }
 
 /// Materialises one bag: the join of the projections of every overlapping
 /// atom onto the bag (atoms fully contained in the bag are enforced exactly;
-/// the others act as semijoin filters).
-pub fn materialise_bag(atoms: &[BoundAtom<'_>], bag_vars: &[VarId], name: &str) -> Relation {
-    materialise_bag_with(atoms, bag_vars, name, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`materialise_bag`] with an explicit [`EvalContext`] for the underlying
-/// generic-join enumeration.  The projections computed here are deterministic
-/// functions of the atoms and the bag, so when the same bag recurs across the
-/// disjuncts of a reduction, the context's cache serves the projection tries
-/// without rebuilding them.
+/// the others act as semijoin filters).  The projections computed here are
+/// deterministic functions of the atoms and the bag, so when the same bag
+/// recurs across the disjuncts of a reduction, the context's cache serves the
+/// projection tries without rebuilding them.
 ///
 /// # Errors
 ///
 /// Propagates the underlying enumeration's [`EvalError`] (cancellation,
 /// deadline expiry, or a trie-build worker panic).
-pub fn materialise_bag_with(
+pub fn materialise_bag(
     atoms: &[BoundAtom<'_>],
     bag_vars: &[VarId],
     name: &str,
@@ -279,7 +261,7 @@ pub fn materialise_bag_with(
         .iter()
         .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
         .collect();
-    generic_join_enumerate_with(&proj_atoms, bag_vars, name, eval)
+    generic_join_enumerate(&proj_atoms, bag_vars, name, eval)
 }
 
 #[cfg(test)]
@@ -296,6 +278,10 @@ mod tests {
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
         )
+    }
+
+    fn answer(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
+        evaluate_ej_boolean(atoms, strategy, EvalContext::default()).unwrap()
     }
 
     const A: VarId = 0;
@@ -318,15 +304,9 @@ mod tests {
         let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let expected = true;
-        assert_eq!(evaluate_ej_boolean(&atoms, EjStrategy::Auto), expected);
-        assert_eq!(
-            evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin),
-            expected
-        );
-        assert_eq!(
-            evaluate_ej_boolean(&atoms, EjStrategy::Decomposition),
-            expected
-        );
+        assert_eq!(answer(&atoms, EjStrategy::Auto), expected);
+        assert_eq!(answer(&atoms, EjStrategy::GenericJoin), expected);
+        assert_eq!(answer(&atoms, EjStrategy::Decomposition), expected);
     }
 
     #[test]
@@ -335,9 +315,9 @@ mod tests {
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let t = rel("T", vec![vec![4.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Decomposition));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin));
+        assert!(!answer(&atoms, EjStrategy::Decomposition));
+        assert!(!answer(&atoms, EjStrategy::Auto));
+        assert!(!answer(&atoms, EjStrategy::GenericJoin));
     }
 
     #[test]
@@ -348,8 +328,8 @@ mod tests {
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
         ];
-        assert!(evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(evaluate_ej_boolean(&atoms, EjStrategy::Yannakakis));
+        assert!(answer(&atoms, EjStrategy::Auto));
+        assert!(answer(&atoms, EjStrategy::Yannakakis));
     }
 
     #[test]
@@ -360,7 +340,7 @@ mod tests {
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let t = rel("T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        let bag = materialise_bag(&atoms, &[A, B, C], "bag");
+        let bag = materialise_bag(&atoms, &[A, B, C], "bag", EvalContext::default()).unwrap();
         assert_eq!(bag.len(), 1);
         assert_eq!(
             bag.tuples()[0],
@@ -392,9 +372,9 @@ mod tests {
                 BoundAtom::new(&t, vec![C, D]),
                 BoundAtom::new(&u, vec![D, A]),
             ];
-            let generic = evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin);
-            let decomp = evaluate_ej_boolean(&atoms, EjStrategy::Decomposition);
-            let auto = evaluate_ej_boolean(&atoms, EjStrategy::Auto);
+            let generic = answer(&atoms, EjStrategy::GenericJoin);
+            let decomp = answer(&atoms, EjStrategy::Decomposition);
+            let auto = answer(&atoms, EjStrategy::Auto);
             assert_eq!(generic, decomp);
             assert_eq!(generic, auto);
         }
@@ -402,11 +382,11 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(evaluate_ej_boolean(&[], EjStrategy::Auto));
-        assert!(evaluate_ej_boolean(&[], EjStrategy::Decomposition));
+        assert!(answer(&[], EjStrategy::Auto));
+        assert!(answer(&[], EjStrategy::Decomposition));
         let empty = Relation::new("R", 1);
         let atoms = vec![BoundAtom::new(&empty, vec![A])];
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Decomposition));
+        assert!(!answer(&atoms, EjStrategy::Auto));
+        assert!(!answer(&atoms, EjStrategy::Decomposition));
     }
 }

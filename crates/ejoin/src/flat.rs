@@ -55,19 +55,12 @@ pub struct FlatTrie {
 impl FlatTrie {
     /// Builds the flat trie of `atom` with levels sorted according to
     /// `global_order` (a total order over all query variables, e.g. the
-    /// elimination order of the chosen decomposition).  Tuples whose repeated
-    /// variables disagree are filtered out and duplicate paths collapse.
-    pub fn build(atom: &BoundAtom<'_>, global_order: &[VarId]) -> Self {
-        let plan = TriePlan::new(atom, global_order);
-        // ij-analysis: allow(panic) — infallible: no cancel token or deadline is supplied
-        FlatTrie::from_plan(&plan, None, None).expect("tokenless builds cannot be cancelled")
-    }
-
-    /// Builds the flat trie of `atom` split into sub-tries by
-    /// [`shard_of`](crate::shard_of) on the first level variable's value,
-    /// each shard's CSR arrays built on its own scoped thread.  Every
-    /// returned trie carries the same `level_vars`; their union over shards
-    /// equals [`FlatTrie::build`].
+    /// elimination order of the chosen decomposition), split into sub-tries
+    /// by [`shard_of`](crate::shard_of) on the first level variable's value,
+    /// each shard's CSR arrays built on its own scoped thread.  Tuples whose
+    /// repeated variables disagree are filtered out and duplicate paths
+    /// collapse.  Every returned trie carries the same `level_vars`; their
+    /// union over shards equals the single trie `num_shards = 1` builds.
     ///
     /// The shard count actually used is
     /// [`effective_shard_count`]`(rows, num_shards)`: relations too small to
@@ -280,6 +273,13 @@ mod tests {
         )
     }
 
+    /// The unsharded trie of `atom`, built without a token.
+    fn build(atom: &BoundAtom<'_>, global_order: &[VarId]) -> FlatTrie {
+        let mut tries = FlatTrie::build_sharded(atom, global_order, 1, None).unwrap();
+        assert_eq!(tries.len(), 1);
+        tries.pop().unwrap()
+    }
+
     fn id(p: f64) -> ValueId {
         ValueId::intern(Value::point(p))
     }
@@ -361,7 +361,7 @@ mod tests {
             (vec![0, 1, 0], vec![1, 0]),
         ] {
             let atom = BoundAtom::new(&r, vars.clone());
-            let flat = FlatTrie::build(&atom, &[1, 2, 0]);
+            let flat = build(&atom, &[1, 2, 0]);
             assert_eq!(flat.level_vars, levels, "vars {vars:?}");
             assert_eq!(flat.depth(), levels.len());
             let got = flat_paths(&flat);
@@ -376,7 +376,7 @@ mod tests {
         let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![4.0, 2.0]]);
         let atom = BoundAtom::new(&r, vec![5, 2]);
         // Global order puts variable 2 before variable 5.
-        let trie = FlatTrie::build(&atom, &[2, 5]);
+        let trie = build(&atom, &[2, 5]);
         assert_eq!(trie.level_vars, vec![2, 5]);
         // Root fanout: distinct values of column bound to var 2 (the second
         // column): {2.0, 3.0}.
@@ -401,7 +401,7 @@ mod tests {
         for vars in [vec![5, 2], vec![2, 5], vec![5, 5]] {
             let atom = BoundAtom::new(&r, vars);
             let order = [2, 5];
-            let full_trie = FlatTrie::build(&atom, &order);
+            let full_trie = build(&atom, &order);
             let full = flat_paths(&full_trie);
             for num_shards in [2usize, 3, 8] {
                 let shards = FlatTrie::build_sharded(&atom, &order, num_shards, None).unwrap();
@@ -426,10 +426,7 @@ mod tests {
         let atom = BoundAtom::new(&small, vec![0, 1]);
         let shards = FlatTrie::build_sharded(&atom, &[0, 1], 8, None).unwrap();
         assert_eq!(shards.len(), 1);
-        assert_eq!(
-            flat_paths(&shards[0]),
-            flat_paths(&FlatTrie::build(&atom, &[0, 1]))
-        );
+        assert_eq!(flat_paths(&shards[0]), flat_paths(&build(&atom, &[0, 1])));
     }
 
     #[test]
@@ -444,19 +441,19 @@ mod tests {
             ],
         );
         let atom = BoundAtom::new(&r, vec![0, 0]);
-        let flat = FlatTrie::build(&atom, &[0]);
+        let flat = build(&atom, &[0]);
         assert_eq!(flat.depth(), 1);
         assert_eq!(flat.level_len(0), 2, "values {{1.0, 3.0}} survive");
         assert!(!flat.run(0, 0, 2).contains(&id(2.0)));
         // A filter that rejects everything leaves an empty (non-zero-level)
         // trie.
         let none = rel("N", vec![vec![1.0, 2.0]]);
-        let empty = FlatTrie::build(&BoundAtom::new(&none, vec![0, 0]), &[0]);
+        let empty = build(&BoundAtom::new(&none, vec![0, 0]), &[0]);
         assert!(empty.is_empty());
         // Zero-level guard atoms report non-empty, sharded or not.
         let mut guard = Relation::new("G", 0);
         guard.push(vec![]);
-        let zero = FlatTrie::build(&BoundAtom::new(&guard, vec![]), &[]);
+        let zero = build(&BoundAtom::new(&guard, vec![]), &[]);
         assert_eq!(zero.depth(), 0);
         assert!(!zero.is_empty());
         let shards =
@@ -469,22 +466,22 @@ mod tests {
     #[test]
     fn heap_bytes_track_flat_trie_size() {
         let small = rel("S", vec![vec![1.0]]);
-        let small_trie = FlatTrie::build(&BoundAtom::new(&small, vec![0]), &[0]);
+        let small_trie = build(&BoundAtom::new(&small, vec![0]), &[0]);
         assert!(small_trie.heap_bytes() > std::mem::size_of::<FlatTrie>());
         // 256 two-level paths dwarf a single one-level path.
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64, -(i as f64)]).collect();
         let big = rel("B", rows);
-        let big_trie = FlatTrie::build(&BoundAtom::new(&big, vec![0, 1]), &[0, 1]);
+        let big_trie = build(&BoundAtom::new(&big, vec![0, 1]), &[0, 1]);
         assert!(big_trie.heap_bytes() > 8 * small_trie.heap_bytes());
         // A sharded build accounts the same content across its shards: the
         // shard sum exceeds the unsharded size only by per-trie overhead (at
         // most one single-path two-level trie per shard).
         let single = rel("P", vec![vec![1.0, 2.0]]);
-        let per_trie = FlatTrie::build(&BoundAtom::new(&single, vec![0, 1]), &[0, 1]).heap_bytes();
+        let per_trie = build(&BoundAtom::new(&single, vec![0, 1]), &[0, 1]).heap_bytes();
         let n = 4 * MIN_ROWS_PER_SHARD;
         let wide = rel("W", (0..n).map(|i| vec![i as f64, -(i as f64)]).collect());
         let atom = BoundAtom::new(&wide, vec![0, 1]);
-        let full = FlatTrie::build(&atom, &[0, 1]).heap_bytes();
+        let full = build(&atom, &[0, 1]).heap_bytes();
         let shards = FlatTrie::build_sharded(&atom, &[0, 1], 4, None).unwrap();
         assert_eq!(shards.len(), 4);
         let sharded_sum: usize = shards.iter().map(FlatTrie::heap_bytes).sum();
@@ -495,7 +492,7 @@ mod tests {
     #[test]
     fn trie_children_resolve_back_to_values() {
         let r = rel("R", vec![vec![7.0], vec![8.0]]);
-        let trie = FlatTrie::build(&BoundAtom::new(&r, vec![0]), &[0]);
+        let trie = build(&BoundAtom::new(&r, vec![0]), &[0]);
         let mut values: Vec<Value> = trie
             .run(0, 0, trie.level_len(0))
             .iter()

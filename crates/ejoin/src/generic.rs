@@ -23,7 +23,7 @@
 //!
 //! # Caching and sharding
 //!
-//! The `*_with` variants take an [`EvalContext`]: tries are served from its
+//! Both entry points take an [`EvalContext`]: tries are served from its
 //! [`TrieCache`](crate::TrieCache) when one is attached, and when the shard
 //! count exceeds one the atoms containing the first join variable are built
 //! as hash-partitioned sub-tries ([`FlatTrie::build_sharded`]) and the
@@ -44,26 +44,11 @@ use ij_relation::sync::lock_recover;
 /// a leaf: held only to fold an error value, never around another lock.
 const SHARD_ERROR: &str = "shard-error";
 use ij_relation::{
-    kernels, CancelTicker, EvalError, IdBuildHasher, IdHashSet, Relation, SharedDictionary, Value,
-    ValueId,
+    fold_error, kernels, CancelTicker, EvalError, IdBuildHasher, IdHashSet, Relation,
+    SharedDictionary, Value, ValueId,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Folds a per-shard evaluation error into the shared error slot, keeping the
-/// most diagnostic one: a [`EvalError::WorkerPanicked`] or
-/// [`EvalError::DeadlineExceeded`] replaces the [`EvalError::Cancelled`] it
-/// (or a sibling's bail-out) induced; the first error wins otherwise.
-pub(crate) fn fold_shard_error(slot: &mut Option<EvalError>, e: EvalError) {
-    let prefer = match (&slot, &e) {
-        (None, _) => true,
-        (Some(EvalError::Cancelled), other) => !matches!(other, EvalError::Cancelled),
-        _ => false,
-    };
-    if prefer {
-        *slot = Some(e);
-    }
-}
 
 /// A shared context for one generic-join execution.
 ///
@@ -259,16 +244,9 @@ impl<'t> Pos<'t> {
 /// order comes from the context's plan mode — adaptive
 /// cardinality/degree-driven planning ([`crate::plan`]) unless
 /// [`PlanMode::Fixed`](crate::PlanMode) pins the historical increasing
-/// identifier order.
-pub fn generic_join_boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) -> bool {
-    generic_join_boolean_with(atoms, order, EvalContext::default())
-        // ij-analysis: allow(panic) — infallible: the default context carries no cancel token
-        .expect("tokenless joins cannot be cancelled")
-}
-
-/// [`generic_join_boolean`] with an explicit [`EvalContext`]: tries come from
-/// the context's cache (when present) and the search fans out across trie
-/// shards (when `shards > 1`).  The answer is identical for every context.
+/// identifier order.  Tries come from the context's cache (when present) and
+/// the search fans out across trie shards (when `shards > 1`).  The answer
+/// is identical for every context.
 ///
 /// # Errors
 ///
@@ -279,8 +257,8 @@ pub fn generic_join_boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) 
 /// [`EvalError::DeadlineExceeded`]; a panicking trie-build worker surfaces as
 /// [`EvalError::WorkerPanicked`].  A found answer beats a sibling shard's
 /// error: `true` is returned even when another shard was cancelled
-/// (`true ∨ unknown = true`).
-pub fn generic_join_boolean_with(
+/// (`true ∨ unknown = true`).  A tokenless context is never cancelled.
+pub fn generic_join_boolean(
     atoms: &[BoundAtom<'_>],
     order: Option<Vec<VarId>>,
     eval: EvalContext<'_>,
@@ -312,7 +290,7 @@ pub fn generic_join_boolean_with(
                 match search(ctx, 0, &mut positions, &mut ticker, Some(found)) {
                     Ok(true) => found.store(true, Ordering::Release),
                     Ok(false) => {}
-                    Err(e) => fold_shard_error(&mut lock_recover(error, SHARD_ERROR), e),
+                    Err(e) => fold_error(&mut lock_recover(error, SHARD_ERROR), e),
                 }
             });
         }
@@ -332,29 +310,18 @@ pub fn generic_join_boolean_with(
 /// Enumerates the projection of the join onto `output_vars`, deduplicated.
 /// The variable order used for the join is `output_vars` first (in the given
 /// order) followed by the remaining variables; this guarantees that results
-/// can be collected without buffering full assignments.
-pub fn generic_join_enumerate(
-    atoms: &[BoundAtom<'_>],
-    output_vars: &[VarId],
-    output_name: &str,
-) -> Relation {
-    generic_join_enumerate_with(atoms, output_vars, output_name, EvalContext::default())
-        // ij-analysis: allow(panic) — infallible: the default context carries no cancel token
-        .expect("tokenless joins cannot be cancelled")
-}
-
-/// [`generic_join_enumerate`] with an explicit [`EvalContext`]: tries come
-/// from the context's cache (when present) and each shard is enumerated on
-/// its own scoped thread (when `shards > 1`), the per-shard results being
-/// merged, sorted and deduplicated — the output relation is identical for
-/// every context.
+/// can be collected without buffering full assignments.  Tries come from the
+/// context's cache (when present) and each shard is enumerated on its own
+/// scoped thread (when `shards > 1`), the per-shard results being merged,
+/// sorted and deduplicated — the output relation is identical for every
+/// context.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`generic_join_boolean_with`]; unlike the Boolean case
-/// there is no early-true escape, so any shard's error fails the whole
-/// enumeration (a partial enumeration would be a wrong answer).
-pub fn generic_join_enumerate_with(
+/// Same taxonomy as [`generic_join_boolean`]; unlike the Boolean case there
+/// is no early-true escape, so any shard's error fails the whole enumeration
+/// (a partial enumeration would be a wrong answer).
+pub fn generic_join_enumerate(
     atoms: &[BoundAtom<'_>],
     output_vars: &[VarId],
     output_name: &str,
@@ -426,7 +393,7 @@ pub fn generic_join_enumerate_with(
         for r in per_shard {
             match r {
                 Ok(rows) => merged.extend(rows),
-                Err(e) => fold_shard_error(&mut error, e),
+                Err(e) => fold_error(&mut error, e),
             }
         }
         if let Some(e) = error {
@@ -674,6 +641,14 @@ mod tests {
         )
     }
 
+    fn boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) -> bool {
+        generic_join_boolean(atoms, order, EvalContext::default()).unwrap()
+    }
+
+    fn enumerate(atoms: &[BoundAtom<'_>], output_vars: &[VarId]) -> Relation {
+        generic_join_enumerate(atoms, output_vars, "out", EvalContext::default()).unwrap()
+    }
+
     const A: VarId = 0;
     const B: VarId = 1;
     const C: VarId = 2;
@@ -689,8 +664,8 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B, C], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B, C]);
         assert_eq!(out.len(), 1);
         assert_eq!(
             out.tuples()[0],
@@ -709,8 +684,8 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        assert!(!generic_join_boolean(&atoms, None));
-        assert!(generic_join_enumerate(&atoms, &[A], "out").is_empty());
+        assert!(!boolean(&atoms, None));
+        assert!(enumerate(&atoms, &[A]).is_empty());
     }
 
     #[test]
@@ -721,12 +696,12 @@ mod tests {
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&empty, vec![B, C]),
         ];
-        assert!(!generic_join_boolean(&atoms, None));
+        assert!(!boolean(&atoms, None));
     }
 
     #[test]
     fn no_atoms_means_true() {
-        assert!(generic_join_boolean(&[], None));
+        assert!(boolean(&[], None));
     }
 
     #[test]
@@ -734,8 +709,8 @@ mod tests {
         let r = rel("R", vec![vec![1.0], vec![2.0]]);
         let s = rel("S", vec![vec![10.0], vec![20.0], vec![30.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A]), BoundAtom::new(&s, vec![B])];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B]);
         assert_eq!(out.len(), 6);
     }
 
@@ -744,7 +719,7 @@ mod tests {
         let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![2.0, 4.0]]);
         let s = rel("S", vec![vec![2.0], vec![3.0], vec![4.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, B]), BoundAtom::new(&s, vec![B])];
-        let out = generic_join_enumerate(&atoms, &[A], "out");
+        let out = enumerate(&atoms, &[A]);
         // A values with some matching B: {1, 2}.
         assert_eq!(out.len(), 2);
     }
@@ -756,7 +731,7 @@ mod tests {
         // resolve).
         let r = rel("R", vec![vec![1.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A])];
-        let out = generic_join_enumerate(&atoms, &[A, B], "out");
+        let out = enumerate(&atoms, &[A, B]);
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0], vec![Value::point(1.0), Value::point(0.0)]);
     }
@@ -770,7 +745,7 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
         ];
         for order in [vec![A, B, C], vec![C, B, A], vec![B, A, C]] {
-            assert!(generic_join_boolean(&atoms, Some(order)));
+            assert!(boolean(&atoms, Some(order)));
         }
     }
 
@@ -800,7 +775,7 @@ mod tests {
         // R(A, A) as a filter for equal columns.
         let r = rel("R", vec![vec![1.0, 1.0], vec![2.0, 3.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, A])];
-        let out = generic_join_enumerate(&atoms, &[A], "out");
+        let out = enumerate(&atoms, &[A]);
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0][0], Value::point(1.0));
     }
@@ -828,8 +803,8 @@ mod tests {
                 BoundAtom::new(&s, vec![B, C]),
                 BoundAtom::new(&t, vec![A, C]),
             ];
-            let expected = generic_join_boolean(&atoms, None);
-            let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
+            let expected = boolean(&atoms, None);
+            let expected_out = enumerate(&atoms, &[A, B, C]);
             for shards in [1usize, 2, 3, 7] {
                 for cache_ref in [None, Some(&cache)] {
                     let eval = EvalContext {
@@ -838,12 +813,12 @@ mod tests {
                         ..EvalContext::default()
                     };
                     assert_eq!(
-                        generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                        generic_join_boolean(&atoms, None, eval).unwrap(),
                         expected,
                         "boolean, shards {shards}, cached {}",
                         cache_ref.is_some()
                     );
-                    let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+                    let out = generic_join_enumerate(&atoms, &[A, B, C], "out", eval).unwrap();
                     assert_eq!(
                         out.tuples(),
                         expected_out.tuples(),
@@ -884,20 +859,17 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        let expected = generic_join_boolean(&atoms, None);
+        let expected = boolean(&atoms, None);
         assert!(expected, "the planted triangle must be found");
-        let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
+        let expected_out = enumerate(&atoms, &[A, B, C]);
         for shards in [2usize, 4] {
             let eval = EvalContext {
                 cache: None,
                 shards,
                 ..EvalContext::default()
             };
-            assert_eq!(
-                generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                expected
-            );
-            let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+            assert_eq!(generic_join_boolean(&atoms, None, eval).unwrap(), expected);
+            let out = generic_join_enumerate(&atoms, &[A, B, C], "out", eval).unwrap();
             assert_eq!(out.tuples(), expected_out.tuples(), "shards {shards}");
         }
     }
@@ -919,8 +891,8 @@ mod tests {
             BoundAtom::new(&e, vec![B, d]),
             BoundAtom::new(&e, vec![C, d]),
         ];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B, C, d], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B, C, d]);
         // Ordered 4-cliques with a < b < c < d: exactly one.
         assert_eq!(out.len(), 1);
     }

@@ -23,13 +23,14 @@
 //!
 //! # Shared tries and sharded builds
 //!
-//! The `*_with` entry points ([`evaluate_ej_boolean_with`], …) take an
-//! [`EvalContext`] carrying an optional [`TrieCache`] — so the disjuncts of
-//! one reduction share built tries instead of rebuilding them — and a trie
-//! shard count: atoms containing the first join variable are built as
-//! hash-partitioned sub-tries on scoped threads and the search fans out
-//! shard by shard ([`FlatTrie::build_sharded`]).  Answers are bit-identical
-//! for every cache/shard setting.
+//! Every evaluation function takes an [`EvalContext`] and returns
+//! `Result<_, EvalError>`; callers with no cache, sharding or token pass
+//! `EvalContext::default()`.  The context carries an optional [`TrieCache`]
+//! — so the disjuncts of one reduction share built tries instead of
+//! rebuilding them — and a trie shard count: atoms containing the first join
+//! variable are built as hash-partitioned sub-tries on scoped threads and
+//! the search fans out shard by shard ([`FlatTrie::build_sharded`]).
+//! Answers are bit-identical for every cache/shard setting.
 //!
 //! The context also carries the cache-accounting identity: a [`TenantId`]
 //! metering every lookup into a per-tenant ledger (with optional per-tenant
@@ -42,7 +43,7 @@
 //! The context finally carries an optional
 //! [`CancellationToken`](ij_relation::CancellationToken): trie builds and
 //! the candidate-intersection loops poll it at a bounded interval, so the
-//! fallible `*_with` entry points return
+//! evaluation functions return
 //! [`EvalError`](ij_relation::EvalError)`::Cancelled` /
 //! `DeadlineExceeded` promptly instead of running to completion.  Sharded
 //! build workers run panic-isolated (`catch_unwind`); a panicking worker
@@ -65,15 +66,9 @@ pub use cache::{
     relation_fingerprint, CacheActivity, EvalContext, TenantCacheStats, TenantHandle, TenantId,
     TrieCache, TrieCacheStats,
 };
-pub use evaluate::{
-    decomposition_boolean, decomposition_boolean_with, evaluate_ej_boolean,
-    evaluate_ej_boolean_with, materialise_bag, materialise_bag_with, EjStrategy,
-};
+pub use evaluate::{decomposition_boolean, evaluate_ej_boolean, materialise_bag, EjStrategy};
 pub use flat::FlatTrie;
-pub use generic::{
-    generic_join_boolean, generic_join_boolean_with, generic_join_enumerate,
-    generic_join_enumerate_with, semijoin,
-};
+pub use generic::{generic_join_boolean, generic_join_enumerate, semijoin};
 pub use plan::{
     fixed_var_order, plan_var_order, DisjunctPlan, KernelChoices, PlanActivity, PlanMode,
 };

@@ -27,7 +27,9 @@
 
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
-use ij_relation::{faults, kernels, panic_payload_string, CancellationToken, EvalError, ValueId};
+use ij_relation::{
+    faults, fold_error, kernels, panic_payload_string, CancellationToken, EvalError, ValueId,
+};
 
 /// The shard a first-level value id belongs to, out of `num_shards`.
 ///
@@ -184,7 +186,8 @@ impl<'a> TriePlan<'a> {
 /// worker cancels its siblings through `token` (the caller passes a
 /// build-local child token, so the evaluation's own token is never
 /// signalled) and is reported as [`EvalError::WorkerPanicked`] naming
-/// `atom_name` — preferred over the `Cancelled` it induced in the siblings.
+/// `atom_name` — preferred over the `Cancelled` it induced in the siblings
+/// ([`fold_error`]).
 pub(crate) fn build_shards_isolated<T, F>(
     atom_name: &str,
     token: Option<&CancellationToken>,
@@ -231,15 +234,7 @@ where
     for r in results {
         match r {
             Ok(t) => out.push(t),
-            Err(e) => {
-                let prefer = matches!(
-                    (&first_err, &e),
-                    (None, _) | (Some(EvalError::Cancelled), EvalError::WorkerPanicked { .. })
-                );
-                if prefer {
-                    first_err = Some(e);
-                }
-            }
+            Err(e) => fold_error(&mut first_err, e),
         }
     }
     match first_err {

@@ -225,6 +225,7 @@ mod tests {
 
     #[test]
     fn agrees_with_generic_join_on_random_acyclic_instances() {
+        use crate::cache::EvalContext;
         use crate::generic::generic_join_boolean;
         // Small pseudo-random path instances.
         let mut seed = 42u64;
@@ -248,7 +249,7 @@ mod tests {
             ];
             assert_eq!(
                 yannakakis_boolean(&atoms),
-                Some(generic_join_boolean(&atoms, None))
+                Some(generic_join_boolean(&atoms, None, EvalContext::default()).unwrap())
             );
         }
     }

@@ -12,8 +12,10 @@
 //!    the `O(N^{ijw} polylog N)` algorithm of Theorem 4.15, which becomes
 //!    `O(N polylog N)` for ι-acyclic queries (Theorem 6.6).
 //!
-//! Every evaluation is **cancellable**: the `*_cancellable` entry points take
-//! a caller-owned [`CancellationToken`], [`EngineConfig::with_deadline`]
+//! Every evaluation is **cancellable**:
+//! [`IntersectionJoinEngine::evaluate_with_stats_cancellable`] and
+//! [`IntersectionJoinEngine::evaluate_reduction_cancellable`] take a
+//! caller-owned [`CancellationToken`], [`EngineConfig::with_deadline`]
 //! arms a per-evaluation time budget, and disjunct workers run
 //! panic-isolated — failures surface as the typed
 //! [`EvalError`](ij_relation::EvalError) taxonomy, never as a poisoned
@@ -21,8 +23,7 @@
 
 use crate::naive::{naive_boolean, NaiveError};
 use ij_ejoin::{
-    evaluate_ej_boolean_with, BoundAtom, CacheActivity, EjStrategy, EvalContext, PlanActivity,
-    TrieCache,
+    evaluate_ej_boolean, BoundAtom, CacheActivity, EjStrategy, EvalContext, PlanActivity, TrieCache,
 };
 use ij_hypergraph::VarId;
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
@@ -35,7 +36,9 @@ use ij_relation::sync::lock_recover;
 /// Lock class of the worker pool's first-disjunct-error slot
 /// (`sync::lock_order`); a leaf: held only to fold an error value.
 const DISJUNCT_ERROR: &str = "disjunct-error";
-use ij_relation::{panic_payload_string, CancellationToken, Database, EvalError, Query};
+use ij_relation::{
+    fold_error, panic_payload_string, CancellationToken, Database, EvalError, Query,
+};
 use ij_widths::{ij_width, IjWidthReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,9 +62,6 @@ fn hardware_parallelism() -> usize {
 pub struct EngineConfig {
     /// Strategy used for every EJ query of the disjunction.
     pub ej_strategy: EjStrategy,
-    /// Deduplicate structurally identical EJ queries before evaluating
-    /// (different permutations frequently produce the same query).
-    pub dedupe_queries: bool,
     /// Encoding of the transformed relations (Section 1.1): flat (the
     /// paper's default) or the lossless per-variable decomposition, which is
     /// dramatically smaller for atoms with several interval variables.
@@ -195,15 +195,14 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration: deduplication enabled, the flat encoding,
-    /// hardware parallelism across disjuncts, a 4096-entry persistent trie
-    /// cache and budget-derived trie sharding (`trie_shards = 0`: whatever
-    /// hardware threads the disjunct workers leave unused go to sharded trie
-    /// builds, and never more).
+    /// The default configuration: the flat encoding, hardware parallelism
+    /// across disjuncts, a 4096-entry persistent trie cache and
+    /// budget-derived trie sharding (`trie_shards = 0`: whatever hardware
+    /// threads the disjunct workers leave unused go to sharded trie builds,
+    /// and never more).
     pub fn new() -> Self {
         EngineConfig {
             ej_strategy: EjStrategy::Auto,
-            dedupe_queries: true,
             encoding: EncodingStrategy::Flat,
             parallelism: 0,
             trie_cache_capacity: 4096,
@@ -481,26 +480,6 @@ impl std::fmt::Display for EvaluationStats {
     }
 }
 
-/// What a successful evaluation of a reduction produces: the Boolean answer
-/// plus runtime statistics.  The fallible entry points return
-/// `Result<EvaluationOutcome, EvalError>`; the alias names the Ok side of
-/// that contract.
-pub type EvaluationOutcome = EvaluationStats;
-
-/// Folds a worker's error into the evaluation's single reported error slot,
-/// preferring a diagnostic (`WorkerPanicked`, `DeadlineExceeded`) over the
-/// `Cancelled` it induced in sibling workers.
-fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
-    let prefer = match (&slot, &e) {
-        (None, _) => true,
-        (Some(EvalError::Cancelled), other) => !matches!(other, EvalError::Cancelled),
-        _ => false,
-    };
-    if prefer {
-        *slot = Some(e);
-    }
-}
-
 /// The intersection-join query engine.
 ///
 /// The engine owns a **persistent** [`TrieCache`] (sized by
@@ -596,23 +575,6 @@ impl IntersectionJoinEngine {
         Ok(self.evaluate_with_stats(query, db)?.answer)
     }
 
-    /// [`IntersectionJoinEngine::evaluate`] under a caller-owned
-    /// [`CancellationToken`]: cancelling the token (from any thread) makes
-    /// the evaluation return [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)`
-    /// within the token's check-interval latency bound.  The engine works on
-    /// a *child* of the caller's token, so internal cancellation (e.g. after
-    /// a worker panic) never trips the caller's token.
-    pub fn evaluate_cancellable(
-        &self,
-        query: &Query,
-        db: &Database,
-        token: Option<&CancellationToken>,
-    ) -> Result<bool, EngineError> {
-        Ok(self
-            .evaluate_with_stats_cancellable(query, db, token)?
-            .answer)
-    }
-
     /// Evaluates the query and returns runtime statistics.
     pub fn evaluate_with_stats(
         &self,
@@ -623,9 +585,13 @@ impl IntersectionJoinEngine {
     }
 
     /// [`IntersectionJoinEngine::evaluate_with_stats`] under a caller-owned
-    /// [`CancellationToken`] (see
-    /// [`evaluate_cancellable`](IntersectionJoinEngine::evaluate_cancellable)).
-    /// The [`EngineConfig::deadline`] clock starts here, covering the forward
+    /// [`CancellationToken`]: cancelling the token (from any thread) makes
+    /// the evaluation return [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)`
+    /// within the token's check-interval latency bound.  The engine works on
+    /// a *child* of the caller's token, so internal cancellation (e.g. after
+    /// a worker panic) never trips the caller's token.  Callers that only
+    /// need the Boolean answer read [`EvaluationStats::answer`].  The
+    /// [`EngineConfig::deadline`] clock starts here, covering the forward
     /// reduction *and* the disjunct evaluation.
     pub fn evaluate_with_stats_cancellable(
         &self,
@@ -666,10 +632,11 @@ impl IntersectionJoinEngine {
     /// permutations overwhelmingly share relations), and the batches are
     /// evaluated by [`EngineConfig::parallelism`] workers pulling one batch
     /// per shared atomic work-index increment; the first worker to find a
-    /// true disjunct flips an [`AtomicBool`] that stops the others at their
-    /// next scheduling point (between disjuncts within a batch, and between
-    /// batches).  All workers share the engine's **persistent**
-    /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_capacity`]), so a
+    /// true disjunct flips an [`AtomicBool`] that stops the others before
+    /// their next disjunct.  One worker runs the loop inline on the calling
+    /// thread; more run it on scoped threads.  All workers share the
+    /// engine's **persistent** [`TrieCache`] (sized by
+    /// [`EngineConfig::trie_cache_capacity`]), so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation — batch grouping makes the reuse
     /// run hot within a worker's current batch, and repeat evaluations of
@@ -695,7 +662,7 @@ impl IntersectionJoinEngine {
     pub fn evaluate_reduction(
         &self,
         reduction: &ForwardReduction,
-    ) -> Result<EvaluationOutcome, EvalError> {
+    ) -> Result<EvaluationStats, EvalError> {
         self.evaluate_reduction_cancellable(reduction, None)
     }
 
@@ -709,7 +676,7 @@ impl IntersectionJoinEngine {
         &self,
         reduction: &ForwardReduction,
         token: Option<&CancellationToken>,
-    ) -> Result<EvaluationOutcome, EvalError> {
+    ) -> Result<EvaluationStats, EvalError> {
         let pool = self.local_token(token);
         self.run_reduction(reduction, &pool)
     }
@@ -732,14 +699,11 @@ impl IntersectionJoinEngine {
         &self,
         reduction: &ForwardReduction,
         pool: &CancellationToken,
-    ) -> Result<EvaluationOutcome, EvalError> {
+    ) -> Result<EvaluationStats, EvalError> {
         // Deduplicate EJ queries that are literally identical (same relations
-        // bound to the same variables).
-        let to_run: Vec<usize> = if self.config.dedupe_queries {
-            reduction.deduped_query_indices()
-        } else {
-            (0..reduction.queries.len()).collect()
-        };
+        // bound to the same variables): different permutations frequently
+        // produce the same query.
+        let to_run = reduction.deduped_query_indices();
         let mut batches = Self::batch_by_shared_relations(reduction, &to_run);
 
         let workers = self.config.worker_count(to_run.len());
@@ -784,99 +748,63 @@ impl IntersectionJoinEngine {
             let half = batches[largest].split_off(mid);
             batches.insert(largest + 1, half);
         }
-        let (evaluated, answer) = if workers <= 1 {
-            let mut evaluated = 0usize;
-            let mut answer = false;
-            let mut first_error: Option<EvalError> = None;
-            'outer: for batch in &batches {
+        // One worker loop: pull a batch, and before every disjunct stop if a
+        // sibling found a witness or the pool token tripped.  A worker that
+        // fails cancels the pool so its siblings stop promptly; `fold_error`
+        // keeps its diagnostic over the `Cancelled` this induces in them.
+        let next = AtomicUsize::new(0);
+        let found = AtomicBool::new(false);
+        let evaluated = AtomicUsize::new(0);
+        let error: Mutex<Option<EvalError>> = Mutex::new(None);
+        let worker = || {
+            while let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed)) {
                 for &i in batch {
-                    // Between-disjunct checkpoint: a long disjunction cancels
-                    // promptly even when each disjunct is tiny.
-                    if let Err(e) = pool.checkpoint() {
-                        fold_error(&mut first_error, e);
-                        break 'outer;
+                    if found.load(Ordering::Acquire) {
+                        return;
                     }
-                    evaluated += 1;
-                    match self.run_disjunct(reduction, i, eval, pool) {
-                        Ok(true) => {
-                            answer = true;
-                            break 'outer;
-                        }
+                    let outcome = pool.checkpoint().and_then(|()| {
+                        evaluated.fetch_add(1, Ordering::Relaxed);
+                        self.run_disjunct(reduction, i, eval, pool)
+                    });
+                    match outcome {
                         Ok(false) => {}
+                        Ok(true) => {
+                            found.store(true, Ordering::Release);
+                            return;
+                        }
                         Err(e) => {
-                            fold_error(&mut first_error, e);
-                            break 'outer;
+                            pool.cancel();
+                            fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
+                            return;
                         }
                     }
                 }
             }
-            if !answer {
-                if let Some(e) = first_error {
-                    return Err(e);
-                }
-            }
-            (evaluated, answer)
+        };
+        if workers == 1 {
+            worker();
         } else {
-            let next = AtomicUsize::new(0);
-            let found = AtomicBool::new(false);
-            let evaluated = AtomicUsize::new(0);
-            let error: Mutex<Option<EvalError>> = Mutex::new(None);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| 'pull: loop {
-                        if found.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if let Err(e) = pool.checkpoint() {
-                            fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                            break;
-                        }
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= batches.len() {
-                            break;
-                        }
-                        for &i in &batches[slot] {
-                            if found.load(Ordering::Acquire) {
-                                break 'pull;
-                            }
-                            evaluated.fetch_add(1, Ordering::Relaxed);
-                            match self.run_disjunct(reduction, i, eval, pool) {
-                                Ok(true) => {
-                                    found.store(true, Ordering::Release);
-                                    break 'pull;
-                                }
-                                Ok(false) => {}
-                                Err(e) => {
-                                    // Stop the siblings promptly; fold_error's
-                                    // precedence keeps this diagnostic over
-                                    // the `Cancelled` it induces in them.
-                                    pool.cancel();
-                                    fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                                    break 'pull;
-                                }
-                            }
-                        }
-                    });
+                    scope.spawn(worker);
                 }
             });
-            let first_error = lock_recover(&error, DISJUNCT_ERROR).take();
-            let answer = found.into_inner();
+        }
+        // A true disjunct is a witness regardless of what happened to the
+        // sibling workers: true ∨ unknown = true.
+        let answer = found.into_inner();
+        if let Some(e) = lock_recover(&error, DISJUNCT_ERROR).take() {
             if !answer {
-                if let Some(e) = first_error {
-                    return Err(e);
-                }
+                return Err(e);
             }
-            // A true disjunct is a witness regardless of what happened to the
-            // sibling workers: true ∨ unknown = true.
-            (evaluated.into_inner(), answer)
-        };
+        }
         // Exact per-evaluation counters from the local accumulator; the
         // resident entry/byte state is a (consistent) snapshot of the shared
         // cache at completion time.
         let resident = self.trie_cache_stats();
         Ok(EvaluationStats {
             reduction: reduction.stats.clone(),
-            ej_queries_evaluated: evaluated,
+            ej_queries_evaluated: evaluated.into_inner(),
             ej_queries_total: to_run.len(),
             ej_query_batches: batches.len(),
             trie_cache: TrieCacheStats {
@@ -972,7 +900,7 @@ impl IntersectionJoinEngine {
                 BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
             })
             .collect();
-        evaluate_ej_boolean_with(&atoms, self.config.ej_strategy, eval)
+        evaluate_ej_boolean(&atoms, self.config.ej_strategy, eval)
     }
 
     /// Evaluates the query with the naive reference evaluator (exhaustive
@@ -1398,7 +1326,7 @@ mod tests {
                 IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
             let (q, db) = triangle_db(true);
             let err = engine
-                .evaluate_cancellable(&q, &db, Some(&token))
+                .evaluate_with_stats_cancellable(&q, &db, Some(&token))
                 .expect_err("cancelled token must not produce an answer");
             assert_eq!(
                 err,
@@ -1412,7 +1340,12 @@ mod tests {
         let engine = IntersectionJoinEngine::with_defaults();
         let (q, db) = triangle_db(true);
         let fresh = CancellationToken::new();
-        assert!(engine.evaluate_cancellable(&q, &db, Some(&fresh)).unwrap());
+        assert!(
+            engine
+                .evaluate_with_stats_cancellable(&q, &db, Some(&fresh))
+                .unwrap()
+                .answer
+        );
     }
 
     #[test]
@@ -1448,33 +1381,10 @@ mod tests {
         let (q, db) = triangle_db(true);
         let token = CancellationToken::new();
         token.cancel();
-        assert!(engine.evaluate_cancellable(&q, &db, Some(&token)).is_err());
+        assert!(engine
+            .evaluate_with_stats_cancellable(&q, &db, Some(&token))
+            .is_err());
         assert!(engine.evaluate(&q, &db).unwrap());
-    }
-
-    #[test]
-    fn fold_error_prefers_diagnostics_over_induced_cancellation() {
-        let panicked = || EvalError::WorkerPanicked {
-            atom: "disjunct 3".into(),
-            payload: "boom".into(),
-        };
-        let mut slot = None;
-        fold_error(&mut slot, EvalError::Cancelled);
-        assert_eq!(slot, Some(EvalError::Cancelled));
-        // A diagnostic replaces the Cancelled it induced in siblings…
-        fold_error(&mut slot, panicked());
-        assert_eq!(slot, Some(panicked()));
-        // …and the first diagnostic wins from then on.
-        fold_error(
-            &mut slot,
-            EvalError::DeadlineExceeded {
-                elapsed: Duration::from_secs(1),
-                budget: Duration::ZERO,
-            },
-        );
-        assert_eq!(slot, Some(panicked()));
-        fold_error(&mut slot, EvalError::Cancelled);
-        assert_eq!(slot, Some(panicked()));
     }
 
     #[test]

@@ -30,8 +30,12 @@
 //! ([`Tenant`]): cache activity is metered per tenant exactly, and an
 //! over-quota tenant evicts its own entries first instead of its neighbors'.
 //!
-//! Evaluations are **cancellable and deadline-bounded**: the
-//! `*_cancellable` entry points accept a [`CancellationToken`],
+//! Evaluations are **cancellable and deadline-bounded**: the two fallible
+//! entry points that take a [`CancellationToken`] are
+//! [`IntersectionJoinEngine::evaluate_with_stats_cancellable`] (query and
+//! database) and [`IntersectionJoinEngine::evaluate_reduction_cancellable`]
+//! (a precomputed reduction); `evaluate`, `evaluate_with_stats` and
+//! `evaluate_reduction` are tokenless conveniences over them.
 //! [`EngineConfig::with_deadline`] (or a [`Tenant`] default deadline) arms a
 //! per-evaluation time budget, and failures surface as the typed
 //! [`EvalError`] taxonomy (`Cancelled`, `DeadlineExceeded`,
@@ -66,9 +70,9 @@ mod naive;
 mod workspace;
 
 pub use engine::{
-    kernel_arm, DisjunctPlan, EngineConfig, EngineError, EvaluationOutcome, EvaluationStats,
-    IntersectionJoinEngine, KernelArm, KernelChoices, PlanMode, QueryAnalysis, TenantCacheStats,
-    TenantId, TrieCacheStats, FORCE_SCALAR_ENV,
+    kernel_arm, DisjunctPlan, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine,
+    KernelArm, KernelChoices, PlanMode, QueryAnalysis, TenantCacheStats, TenantId, TrieCacheStats,
+    FORCE_SCALAR_ENV,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
@@ -80,9 +84,8 @@ pub use workspace::{Tenant, Workspace, WorkspaceLimits, WorkspaceStats};
 pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
-        EvaluationOutcome, EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode,
-        QueryAnalysis, Tenant, TenantCacheStats, TenantId, TrieCacheStats, Workspace,
-        WorkspaceLimits, WorkspaceStats,
+        EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode, QueryAnalysis, Tenant,
+        TenantCacheStats, TenantId, TrieCacheStats, Workspace, WorkspaceLimits, WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};

@@ -23,7 +23,6 @@
 //! its interval variables, not on the full permutation.
 
 use ij_hypergraph::{full_reduction, Hypergraph, ReducedHypergraph, VarId, VarKind};
-use ij_relation::sync::lock_recover;
 use ij_relation::{
     faults, CancelTicker, CancellationToken, Database, EvalError, Query, Relation,
     SharedDictionary, Value, ValueId,
@@ -458,27 +457,11 @@ fn build_spine_relation(
 }
 
 /// Interns the per-tuple identifier values `0.0 .. n` of the decomposed
-/// encoding into `dict`.  The values are the same for every atom (a dense
-/// integer prefix), so for the process-global dictionary the interned prefix
-/// is memoised process-wide: the spine and every part relation of every atom
-/// reuse it instead of re-probing the dictionary under its write lock.
-/// Scoped dictionaries intern directly — their ids are not valid across
-/// scopes, and a per-scope memo would outlive nothing.
+/// encoding into `dict`.
 fn intern_tuple_ids(dict: &SharedDictionary, n: usize) -> Vec<ValueId> {
-    if !dict.is_global() {
-        return (0..n)
-            .map(|i| dict.intern(Value::point(i as f64)))
-            .collect();
-    }
-    use std::sync::Mutex;
-    static PREFIX: Mutex<Vec<ValueId>> = Mutex::new(Vec::new());
-    let mut prefix = lock_recover(&PREFIX, "reduction-tuple-prefix");
-    if prefix.len() < n {
-        for i in prefix.len()..n {
-            prefix.push(ValueId::intern(Value::point(i as f64)));
-        }
-    }
-    prefix[..n].to_vec()
+    (0..n)
+        .map(|i| dict.intern(Value::point(i as f64)))
+        .collect()
 }
 
 /// Builds one per-variable part relation of the decomposed encoding: tuples

@@ -282,6 +282,22 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// Folds one worker's error into the single error slot its pool reports,
+/// the one precedence rule of every worker pool in the pipeline: a
+/// diagnostic ([`EvalError::WorkerPanicked`], [`EvalError::DeadlineExceeded`])
+/// replaces the [`EvalError::Cancelled`] it induced in sibling workers, and
+/// the first diagnostic wins from then on.
+pub fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
+    let replace = match slot {
+        None => true,
+        Some(EvalError::Cancelled) => !matches!(e, EvalError::Cancelled),
+        Some(_) => false,
+    };
+    if replace {
+        *slot = Some(e);
+    }
+}
+
 /// Renders a caught panic payload (`Box<dyn Any>`) into the string carried
 /// by [`EvalError::WorkerPanicked`].
 pub fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -383,6 +399,31 @@ mod tests {
             panic_payload_string(opaque.as_ref()),
             "opaque panic payload"
         );
+    }
+
+    #[test]
+    fn fold_error_prefers_diagnostics_over_induced_cancellation() {
+        let panicked = || EvalError::WorkerPanicked {
+            atom: "disjunct 3".into(),
+            payload: "boom".into(),
+        };
+        let mut slot = None;
+        fold_error(&mut slot, EvalError::Cancelled);
+        assert_eq!(slot, Some(EvalError::Cancelled));
+        // A diagnostic replaces the Cancelled it induced in siblings…
+        fold_error(&mut slot, panicked());
+        assert_eq!(slot, Some(panicked()));
+        // …and the first diagnostic wins from then on.
+        fold_error(
+            &mut slot,
+            EvalError::DeadlineExceeded {
+                elapsed: Duration::from_secs(1),
+                budget: Duration::ZERO,
+            },
+        );
+        assert_eq!(slot, Some(panicked()));
+        fold_error(&mut slot, EvalError::Cancelled);
+        assert_eq!(slot, Some(panicked()));
     }
 
     #[test]

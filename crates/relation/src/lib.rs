@@ -48,7 +48,8 @@ pub mod sync;
 mod value;
 
 pub use cancel::{
-    panic_payload_string, CancelTicker, CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL,
+    fold_error, panic_payload_string, CancelTicker, CancellationToken, EvalError,
+    DEFAULT_CHECK_INTERVAL,
 };
 pub use csv::{field_to_value, value_to_field, CsvError};
 pub use dictionary::{

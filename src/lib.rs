@@ -62,10 +62,11 @@
 //!        ▼
 //!  ij_engine::evaluate_reduction            dedup disjuncts → batches
 //!        │   (EngineConfig::parallelism     (grouped by shared transformed
-//!        │    workers pull whole batches,   relations) → worker pool with
-//!        │    AtomicBool early exit; all    AtomicBool early exit; built
-//!        ▼    workers share one TrieCache)  tries reused across disjuncts
-//!  ij_ejoin per disjunct:
+//!        │    workers run one loop: inline  relations) → one worker loop:
+//!        │    for one worker, scoped        pull a batch, check the found
+//!        │    threads otherwise; all        flag and the token before every
+//!        ▼    workers share one TrieCache)  disjunct; first error folded
+//!  ij_ejoin per disjunct (EvalContext in, Result<_, EvalError> out):
 //!     · α-acyclic   → Yannakakis semijoins (id-tuple keys, fast hasher)
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis
 //!     · fallback    → generic WCOJ over per-atom flat CSR tries

@@ -72,7 +72,8 @@ fn fixture() -> &'static (ForwardReduction, Duration) {
 /// Acceptance: on a near-miss workload whose uncancelled runtime is ≥ 10×
 /// the budget (20× by construction here), the deadline fires as
 /// [`EvalError::DeadlineExceeded`] and the evaluation returns within the
-/// documented latency ceiling past the budget.
+/// documented latency ceiling past the budget — with the worker loop run
+/// inline (one worker) and on scoped threads (two workers).
 #[test]
 fn deadline_interrupts_a_near_miss_evaluation() {
     let (reduction, uncancelled) = fixture();
@@ -81,65 +82,75 @@ fn deadline_interrupts_a_near_miss_evaluation() {
         *uncancelled >= 10 * budget,
         "fixture too fast: uncancelled {uncancelled:?} vs budget {budget:?}"
     );
-    let engine = IntersectionJoinEngine::new(
-        EngineConfig::new()
-            .with_parallelism(1)
-            .with_deadline(budget),
-    );
-    let start = Instant::now();
-    let result = engine.evaluate_reduction(reduction);
-    let wall = start.elapsed();
-    match result {
-        Err(EvalError::DeadlineExceeded {
-            elapsed,
-            budget: reported,
-        }) => {
-            assert_eq!(reported, budget);
-            assert!(
-                elapsed >= reported,
-                "deadline reported before it elapsed: {elapsed:?} < {reported:?}"
-            );
+    for parallelism in [1usize, 2] {
+        let engine = IntersectionJoinEngine::new(
+            EngineConfig::new()
+                .with_parallelism(parallelism)
+                .with_deadline(budget),
+        );
+        let start = Instant::now();
+        let result = engine.evaluate_reduction(reduction);
+        let wall = start.elapsed();
+        match result {
+            Err(EvalError::DeadlineExceeded {
+                elapsed,
+                budget: reported,
+            }) => {
+                assert_eq!(reported, budget);
+                assert!(
+                    elapsed >= reported,
+                    "deadline reported before it elapsed: {elapsed:?} < {reported:?}"
+                );
+            }
+            other => panic!(
+                "a {budget:?} deadline on a {uncancelled:?} workload returned {other:?} \
+                 at parallelism {parallelism}, expected DeadlineExceeded"
+            ),
         }
-        other => panic!(
-            "a {budget:?} deadline on a {uncancelled:?} workload returned {other:?}, \
-             expected DeadlineExceeded"
-        ),
+        assert!(
+            wall <= budget + LATENCY_BOUND,
+            "parallelism {parallelism}: deadline latency {wall:?} exceeded budget {budget:?} \
+             + bound {LATENCY_BOUND:?}"
+        );
     }
-    assert!(
-        wall <= budget + LATENCY_BOUND,
-        "deadline latency {wall:?} exceeded budget {budget:?} + bound {LATENCY_BOUND:?}"
-    );
 }
 
 /// Cancelling from another thread mid-evaluation: signal→return latency is
 /// within [`LATENCY_BOUND`], and the result is the typed `Cancelled` error
-/// (or the correct answer, if the evaluation happened to finish first).
+/// (or the correct answer, if the evaluation happened to finish first) —
+/// with one worker and with two.
 #[test]
 fn external_cancel_returns_within_the_documented_bound() {
     let (reduction, uncancelled) = fixture();
-    let token = CancellationToken::new();
-    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-    let (result, latency) = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            let result = engine.evaluate_reduction_cancellable(reduction, Some(&token));
-            (result, Instant::now())
+    for parallelism in [1usize, 2] {
+        let token = CancellationToken::new();
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+        let (result, latency) = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let result = engine.evaluate_reduction_cancellable(reduction, Some(&token));
+                (result, Instant::now())
+            });
+            // Let the evaluation get well into its search before signalling.
+            std::thread::sleep((*uncancelled / 4).min(Duration::from_millis(50)));
+            let signalled = Instant::now();
+            token.cancel();
+            let (result, returned) = worker.join().expect("worker does not panic");
+            (result, returned.saturating_duration_since(signalled))
         });
-        // Let the evaluation get well into its search before signalling.
-        std::thread::sleep((*uncancelled / 4).min(Duration::from_millis(50)));
-        let signalled = Instant::now();
-        token.cancel();
-        let (result, returned) = worker.join().expect("worker does not panic");
-        (result, returned.saturating_duration_since(signalled))
-    });
-    match result {
-        Err(EvalError::Cancelled) => {}
-        Ok(stats) => assert!(!stats.answer, "near-miss workload answered true"),
-        Err(other) => panic!("external cancel surfaced as {other:?}, expected Cancelled"),
+        match result {
+            Err(EvalError::Cancelled) => {}
+            Ok(stats) => assert!(!stats.answer, "near-miss workload answered true"),
+            Err(other) => panic!(
+                "external cancel surfaced as {other:?} at parallelism {parallelism}, \
+                 expected Cancelled"
+            ),
+        }
+        assert!(
+            latency <= LATENCY_BOUND,
+            "parallelism {parallelism}: signal→return latency {latency:?} exceeded the \
+             documented bound {LATENCY_BOUND:?}"
+        );
     }
-    assert!(
-        latency <= LATENCY_BOUND,
-        "signal→return latency {latency:?} exceeded the documented bound {LATENCY_BOUND:?}"
-    );
 }
 
 fn is_std_error<E: std::error::Error + Send + 'static>() {}
@@ -190,7 +201,8 @@ proptest! {
                     scope.spawn(move || {
                         ws.tenant(name)
                             .engine(EngineConfig::new().with_parallelism(2))
-                            .evaluate_cancellable(query, db, Some(token))
+                            .evaluate_with_stats_cancellable(query, db, Some(token))
+                            .map(|stats| stats.answer)
                     })
                 })
                 .collect();

@@ -17,9 +17,7 @@
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
 
-use ij_ejoin::{
-    generic_join_boolean_with, generic_join_enumerate_with, BoundAtom, EvalContext, TrieCache,
-};
+use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, TrieCache};
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, intersect_sorted_gallop, intersect_sorted_scalar,
@@ -182,7 +180,7 @@ proptest! {
         let expected_out = nested_loop_triangles(&r_rows, &s_rows, &t_rows);
         let expected = !expected_out.is_empty();
         let baseline =
-            generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", EvalContext::default()).unwrap();
+            generic_join_enumerate(&atoms, &[0, 1, 2], "out", EvalContext::default()).unwrap();
         let mut baseline_sorted = baseline.tuples();
         baseline_sorted.sort();
         prop_assert_eq!(baseline_sorted, expected_out);
@@ -195,12 +193,12 @@ proptest! {
                     ..EvalContext::default()
                 };
                 prop_assert_eq!(
-                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                    generic_join_boolean(&atoms, None, eval).unwrap(),
                     expected,
                     "boolean: shards {}, cached {}",
                     shards, cache_ref.is_some()
                 );
-                let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
+                let out = generic_join_enumerate(&atoms, &[0, 1, 2], "out", eval).unwrap();
                 prop_assert_eq!(
                     out.tuples(),
                     baseline.tuples(),

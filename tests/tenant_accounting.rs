@@ -225,7 +225,8 @@ fn cancelled_evaluations_leave_ledgers_exact() {
                     scope.spawn(move || {
                         ws.tenant(name)
                             .engine(EngineConfig::new().with_parallelism(2))
-                            .evaluate_cancellable(query, db, Some(token))
+                            .evaluate_with_stats_cancellable(query, db, Some(token))
+                            .map(|stats| stats.answer)
                     })
                 })
                 .collect();
