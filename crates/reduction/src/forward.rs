@@ -22,13 +22,13 @@
 //! the relation for an atom only depends on the *level* assigned to each of
 //! its interval variables, not on the full permutation.
 
-use ij_hypergraph::{full_reduction, Hypergraph, ReducedHypergraph, VarId, VarKind};
+use ij_hypergraph::{full_reduction, ReducedHypergraph, VarId, VarKind};
 use ij_relation::{
     faults, CancelTicker, CancellationToken, Database, EvalError, Query, Relation,
     SharedDictionary, Value, ValueId,
 };
-use ij_segtree::{BitString, Interval, SegmentTree};
-use std::collections::BTreeMap;
+use ij_segtree::{BitString, CompositionWalk, Interval, SegmentTree};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the transformed relations encode the bitstring columns of an atom with
 /// several interval variables (Section 1.1, closing discussion).
@@ -265,7 +265,7 @@ pub fn forward_reduction_with_token(
     token: Option<&CancellationToken>,
 ) -> Result<ForwardReduction, ReductionError> {
     let (hypergraph, var_ids) = q.hypergraph();
-    validate(q, db, &hypergraph)?;
+    validate(q, db)?;
 
     // --- segment trees, one per join interval variable ---------------------
     let id_to_name: BTreeMap<VarId, String> = var_ids
@@ -311,11 +311,13 @@ pub fn forward_reduction_with_token(
     stats.num_queries = reduced_structures.len();
 
     // --- transformed relations, memoised per (atom, level assignment) ------
-    // The transformed database interns into the *input* database's
-    // dictionary: ids must be join-compatible with the carried columns, and a
-    // workspace-scoped input keeps its reduction scoped too.
+    // The transformed database shares the *input* database's dictionary:
+    // carried columns copy their ids verbatim, and the per-tuple ids of the
+    // decomposed encoding intern there, so a workspace-scoped input keeps its
+    // reduction scoped too.  Bitstring columns hold canonical ids
+    // (`ValueId::of_bits`) and intern nothing.
     let mut database = Database::new_in(db.dictionary().clone());
-    let mut built: BTreeMap<String, ()> = BTreeMap::new();
+    let mut built: BTreeSet<String> = BTreeSet::new();
     let mut queries: Vec<ReducedQuery> = Vec::with_capacity(reduced_structures.len());
 
     for structure in reduced_structures {
@@ -337,14 +339,14 @@ pub fn forward_reduction_with_token(
             if !decompose {
                 let (name, vars) =
                     reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
-                if !built.contains_key(&name) {
+                if !built.contains(&name) {
                     let relation = build_transformed_relation(
                         q, db, atom_idx, levels, &trees, &degrees, &name, &var_ids, token,
                     )?;
                     stats.transformed_tuples += relation.len();
                     stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
                     database.insert(relation);
-                    built.insert(name.clone(), ());
+                    built.insert(name.clone());
                 }
                 atoms.push(ReducedAtom {
                     relation: name,
@@ -358,12 +360,12 @@ pub fn forward_reduction_with_token(
             let id_var = format!("__id:{}@{}", atom.relation, atom_idx);
 
             let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
-            if !built.contains_key(&spine_name) {
+            if !built.contains(&spine_name) {
                 let relation = build_spine_relation(q, db, atom_idx, &spine_name, token)?;
                 stats.transformed_tuples += relation.len();
                 stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
                 database.insert(relation);
-                built.insert(spine_name.clone(), ());
+                built.insert(spine_name.clone());
             }
             let mut spine_vars: Vec<String> = vec![id_var.clone()];
             for v in &atom.vars {
@@ -382,7 +384,7 @@ pub fn forward_reduction_with_token(
                 let level = levels[&var_id];
                 let k = degrees[&var_id];
                 let part_name = format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var_name, level);
-                if !built.contains_key(&part_name) {
+                if !built.contains(&part_name) {
                     let relation = build_part_relation(
                         q,
                         db,
@@ -397,7 +399,7 @@ pub fn forward_reduction_with_token(
                     stats.transformed_tuples += relation.len();
                     stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
                     database.insert(relation);
-                    built.insert(part_name.clone(), ());
+                    built.insert(part_name.clone());
                 }
                 let mut part_vars: Vec<String> = vec![id_var.clone()];
                 for j in 1..=level {
@@ -488,29 +490,118 @@ fn build_part_relation(
     let intervals: Vec<Option<Interval>> = source.column(column).map(|v| v.to_interval()).collect();
     let tuple_ids = intern_tuple_ids(dict, source.len());
     let mut ticker = CancelTicker::new(token);
-    let mut row: Vec<ValueId> = Vec::with_capacity(1 + level);
+    let mut columns = [ColumnOptions::new(1), ColumnOptions::new(level)];
+    let mut scratch = Scratch::default();
     for (i, iv) in intervals.into_iter().enumerate() {
         ticker.tick()?;
         let iv = iv.ok_or(ReductionError::NotAnInterval {
             relation: atom.relation.clone(),
             column,
         })?;
-        let nodes: Vec<BitString> = if level < k {
-            tree.canonical_partition(iv)
-        } else {
-            vec![tree.leaf_of_interval(iv)]
-        };
-        for node in nodes {
-            for parts in node.compositions(level) {
-                row.clear();
-                row.push(tuple_ids[i]);
-                row.extend(parts.into_iter().map(|b| dict.intern(Value::Bits(b))));
-                out.push_ids(&row);
-            }
-        }
+        columns[0].carry(tuple_ids[i]);
+        columns[1].expand(dict, tree, iv, level < k, &mut scratch.walk);
+        scratch.push_cross_product(&columns, &mut out);
     }
     out.dedup();
     Ok(out)
+}
+
+/// The id of one bitstring part: its canonical id ([`ValueId::of_bits`]),
+/// which every node of a segment tree over at most 2²⁸ endpoints has.  Only
+/// the longer parts of deeper trees intern through the dictionary.
+#[inline]
+fn part_id(dict: &SharedDictionary, part: BitString) -> ValueId {
+    ValueId::of_bits(part).unwrap_or_else(|| dict.intern(Value::from(part)))
+}
+
+/// The choices one source column offers each transformed row: `count`
+/// options of `width` ids each, back to back in one buffer that is reused
+/// from source row to source row.
+struct ColumnOptions {
+    width: usize,
+    count: usize,
+    ids: Vec<ValueId>,
+}
+
+impl ColumnOptions {
+    fn new(width: usize) -> Self {
+        ColumnOptions {
+            width,
+            count: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    /// One option: a carried id, copied verbatim.
+    fn carry(&mut self, id: ValueId) {
+        self.ids.clear();
+        self.ids.push(id);
+        self.count = 1;
+    }
+
+    /// Every composition into `width` parts of every canonical-partition
+    /// node of `iv` (when `partition`, i.e. level `< k`) or of `leaf(iv)`
+    /// (level `k`) — the expansion of Definition 4.9.
+    fn expand(
+        &mut self,
+        dict: &SharedDictionary,
+        tree: &SegmentTree,
+        iv: Interval,
+        partition: bool,
+        walk: &mut CompositionWalk,
+    ) {
+        self.ids.clear();
+        self.count = 0;
+        let (ids, width) = (&mut self.ids, self.width);
+        let mut expand_node =
+            |node: BitString| walk.for_each_part(node, width, |part| ids.push(part_id(dict, part)));
+        if partition {
+            for node in tree.canonical_partition(iv) {
+                self.count += expand_node(node);
+            }
+        } else {
+            self.count = expand_node(tree.leaf_of_interval(iv));
+        }
+    }
+}
+
+/// Buffers reused across the source rows of one transformed-relation build.
+#[derive(Default)]
+struct Scratch {
+    walk: CompositionWalk,
+    /// The cross product's odometer: one option index per column.
+    digits: Vec<usize>,
+    row: Vec<ValueId>,
+}
+
+impl Scratch {
+    /// Appends to `out` one row per choice of an option in every column —
+    /// the cross product, last column fastest — assembled in the reused row
+    /// buffer.  A column without options yields no rows.
+    fn push_cross_product(&mut self, columns: &[ColumnOptions], out: &mut Relation) {
+        if columns.iter().any(|c| c.count == 0) {
+            return;
+        }
+        self.digits.clear();
+        self.digits.resize(columns.len(), 0);
+        loop {
+            self.row.clear();
+            for (c, &d) in columns.iter().zip(&self.digits) {
+                self.row
+                    .extend_from_slice(&c.ids[d * c.width..(d + 1) * c.width]);
+            }
+            out.push_ids(&self.row);
+            let digits = &mut self.digits;
+            let Some(i) = (0..columns.len())
+                .rev()
+                .find(|&i| digits[i] + 1 < columns[i].count)
+            else {
+                return;
+            };
+            digits[i] += 1;
+            digits[i + 1..].fill(0);
+        }
+    }
 }
 
 /// The name and column variables of the transformed relation of one atom
@@ -565,19 +656,22 @@ fn build_transformed_relation(
     let atom = &q.atoms()[atom_idx];
     let source = db.relation(&atom.relation).expect("validated");
 
-    // Column plan: carried columns copy their value, interval columns expand
-    // into `level` bitstring columns.
-    enum ColumnPlan {
-        Carried(usize),
+    // Column plan: carried columns copy their id, interval columns expand
+    // into `level` bitstring columns.  Interval columns are pre-resolved once
+    // (one dictionary read lock per column); carried columns pass their
+    // interned ids through untouched, so the expansion below never
+    // materialises a `Value` row.
+    enum ColumnPlan<'a> {
+        Carried(&'a [ValueId]),
         IntervalVar {
             column: usize,
-            var: VarId,
-            level: usize,
-            k: usize,
+            intervals: Vec<Option<Interval>>,
+            tree: &'a SegmentTree,
+            partition: bool,
         },
     }
-    let mut plan: Vec<ColumnPlan> = Vec::new();
-    let mut arity = 0usize;
+    let mut plan: Vec<ColumnPlan<'_>> = Vec::new();
+    let mut columns: Vec<ColumnOptions> = Vec::new();
     for (col, v) in atom.vars.iter().enumerate() {
         match q.var_kind(v) {
             Some(VarKind::Interval) => {
@@ -585,107 +679,50 @@ fn build_transformed_relation(
                 let level = levels[&var];
                 plan.push(ColumnPlan::IntervalVar {
                     column: col,
-                    var,
-                    level,
-                    k: degrees[&var],
+                    intervals: source.column(col).map(|v| v.to_interval()).collect(),
+                    tree: &trees[&var],
+                    partition: level < degrees[&var],
                 });
-                arity += level;
+                columns.push(ColumnOptions::new(level));
             }
             _ => {
-                plan.push(ColumnPlan::Carried(col));
-                arity += 1;
+                plan.push(ColumnPlan::Carried(source.column_ids(col)));
+                columns.push(ColumnOptions::new(1));
             }
         }
     }
 
     let dict = db.dictionary();
+    let arity = columns.iter().map(|c| c.width).sum();
     let mut out = Relation::new_in(name.to_string(), arity, dict);
-    // Pre-resolve the interval columns once (one dictionary read lock per
-    // column); carried columns pass their interned ids through untouched, so
-    // the expansion below never materialises a `Value` row.
-    let mut interval_cols: BTreeMap<usize, Vec<Option<Interval>>> = BTreeMap::new();
-    for p in &plan {
-        if let ColumnPlan::IntervalVar { column, .. } = p {
-            interval_cols
-                .entry(*column)
-                .or_insert_with(|| source.column(*column).map(|v| v.to_interval()).collect());
-        }
-    }
-    // Indexed loop: `row_idx` addresses parallel structures (the pre-resolved
-    // interval columns and the source id columns).
     let mut ticker = CancelTicker::new(token);
-    #[allow(clippy::needless_range_loop)]
+    let mut scratch = Scratch::default();
     for row_idx in 0..source.len() {
         ticker.tick()?;
-        // Per column, the list of id-vectors to append (cross product).
-        let mut expansions: Vec<Vec<Vec<ValueId>>> = Vec::with_capacity(plan.len());
-        let mut dead = false;
-        for p in &plan {
+        for (p, options) in plan.iter().zip(columns.iter_mut()) {
             match p {
-                ColumnPlan::Carried(col) => {
-                    expansions.push(vec![vec![source.column_ids(*col)[row_idx]]])
-                }
+                ColumnPlan::Carried(ids) => options.carry(ids[row_idx]),
                 ColumnPlan::IntervalVar {
                     column,
-                    var,
-                    level,
-                    k,
+                    intervals,
+                    tree,
+                    partition,
                 } => {
-                    let iv =
-                        interval_cols[column][row_idx].ok_or(ReductionError::NotAnInterval {
-                            relation: atom.relation.clone(),
-                            column: *column,
-                        })?;
-                    let tree = &trees[var];
-                    let nodes: Vec<BitString> = if *level < *k {
-                        tree.canonical_partition(iv)
-                    } else {
-                        vec![tree.leaf_of_interval(iv)]
-                    };
-                    let mut options: Vec<Vec<ValueId>> = Vec::new();
-                    for node in nodes {
-                        for parts in node.compositions(*level) {
-                            options.push(
-                                parts
-                                    .into_iter()
-                                    .map(|b| dict.intern(Value::Bits(b)))
-                                    .collect(),
-                            );
-                        }
-                    }
-                    if options.is_empty() {
-                        dead = true;
-                        break;
-                    }
-                    expansions.push(options);
+                    let iv = intervals[row_idx].ok_or(ReductionError::NotAnInterval {
+                        relation: atom.relation.clone(),
+                        column: *column,
+                    })?;
+                    options.expand(dict, tree, iv, *partition, &mut scratch.walk);
                 }
             }
         }
-        if dead {
-            continue;
-        }
-        // Cross product of the expansions.
-        let mut rows: Vec<Vec<ValueId>> = vec![Vec::with_capacity(arity)];
-        for options in &expansions {
-            let mut next = Vec::with_capacity(rows.len() * options.len());
-            for row in &rows {
-                for opt in options {
-                    let mut r = row.clone();
-                    r.extend_from_slice(opt);
-                    next.push(r);
-                }
-            }
-            rows = next;
-        }
-        for r in rows {
-            out.push_ids(&r);
-        }
+        scratch.push_cross_product(&columns, &mut out);
     }
     out.dedup();
     Ok(out)
 }
 
-fn validate(q: &Query, db: &Database, h: &Hypergraph) -> Result<(), ReductionError> {
+fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
     for atom in q.atoms() {
         let rel = db
             .relation(&atom.relation)
@@ -707,7 +744,6 @@ fn validate(q: &Query, db: &Database, h: &Hypergraph) -> Result<(), ReductionErr
             }
         }
     }
-    let _ = h;
     Ok(())
 }
 
@@ -772,6 +808,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bitstring_columns_hold_canonical_ids_and_intern_nothing() {
+        let q = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
+        let mut db = Database::new_in(SharedDictionary::new());
+        let (_, base) = triangle_instance(true);
+        for rel in base.relations() {
+            db.insert_tuples(rel.name(), rel.arity(), rel.tuples());
+        }
+        let before = db.dictionary().len();
+        let fr = forward_reduction(&q, &db).unwrap();
+        assert_eq!(db.dictionary().len(), before);
+        for rel in fr.database.relations() {
+            for col in 0..rel.arity() {
+                assert!(rel.column_ids(col).iter().all(|id| id.as_bits().is_some()));
+            }
+        }
+    }
+
+    #[test]
+    fn cross_product_keeps_zero_width_and_empty_columns_exact() {
+        let dict = SharedDictionary::new();
+        let (a, b) = (
+            dict.intern(Value::point(1.0)),
+            dict.intern(Value::point(2.0)),
+        );
+        let mut carried = ColumnOptions::new(1);
+        carried.carry(a);
+        let mut pairs = ColumnOptions::new(2);
+        pairs.ids = vec![a, b, b, a];
+        pairs.count = 2;
+        // Level 0: three empty-bitstring nodes, each one zero-width option.
+        let mut zero_width = ColumnOptions::new(0);
+        zero_width.count = 3;
+        let mut scratch = Scratch::default();
+        let mut out = Relation::new_in("R", 3, &dict);
+        scratch.push_cross_product(&[carried, zero_width, pairs], &mut out);
+        let rows: Vec<Vec<ValueId>> = (0..out.len())
+            .map(|r| (0..3).map(|c| out.id_at(r, c)).collect())
+            .collect();
+        let expected: Vec<Vec<ValueId>> = [vec![a, a, b], vec![a, b, a]]
+            .into_iter()
+            .cycle()
+            .take(6)
+            .collect();
+        assert_eq!(rows, expected);
+        // An empty canonical partition offers no option: the row vanishes.
+        let mut carried = ColumnOptions::new(1);
+        carried.carry(b);
+        let mut out = Relation::new_in("R", 3, &dict);
+        scratch.push_cross_product(&[carried, ColumnOptions::new(2)], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

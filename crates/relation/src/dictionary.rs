@@ -47,9 +47,31 @@
 //! Ids stay **globally unique** across stripes by construction: the stripe
 //! index lives in the low [`STRIPE_BITS`] bits of the id and the
 //! stripe-local dense index in the high bits, so each stripe owns a disjoint
-//! id subspace (and may hold up to 2²⁸ − 1 distinct values; the top local
-//! index is reserved so the [`ValueId::dummy`] sentinel is unrepresentable —
-//! see [`MAX_STRIPE_VALUES`]).
+//! id subspace (and may hold up to 2²⁷ − 1 distinct values — see
+//! [`MAX_STRIPE_VALUES`]).
+//!
+//! # The id space: stripe ids and canonical bitstring ids
+//!
+//! The 32-bit id space is split by its top bit:
+//!
+//! * `0 .. 2³¹` — stripe ids, `local << STRIPE_BITS | stripe`;
+//! * `2³¹ + ((1 << len) | bits)` — the [`Value::Bits`] of length
+//!   `len ≤` [`BITS_ID_MAX_LEN`] with those bits;
+//! * `u32::MAX` — the [`ValueId::dummy`] placeholder, never assigned.
+//!
+//! A bitstring of length at most [`BITS_ID_MAX_LEN`] is **never interned**:
+//! its id is its 1-based segment-tree heap index
+//! ([`BitString::heap_index`]) in the tagged range ([`ValueId::of_bits`]),
+//! computed without a lock, and [`SharedDictionary::intern`],
+//! [`SharedDictionary::lookup`], [`SharedDictionary::resolve`] and the
+//! [`DictReader`] methods answer for it by arithmetic alone.  The forward
+//! reduction emits millions of such bitstring parts; none of them grows a
+//! stripe.  Longer bitstrings — only segment trees over more than 2²⁸
+//! endpoints have them — are interned through the stripes like any other
+//! value, so every [`Value`] stays representable.  Equal ids still mean
+//! equal values within one dictionary, so
+//! [`Relation::dedup`](crate::Relation::dedup) sorts raw ids and never
+//! resolves a value.
 
 use crate::sync::{read_recover, write_recover, ReadGuard};
 
@@ -60,6 +82,7 @@ use crate::sync::{read_recover, write_recover, ReadGuard};
 /// more than one stripe.
 const DICT_STRIPE: &str = "dict-stripe";
 use crate::Value;
+use ij_segtree::BitString;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -70,19 +93,32 @@ pub const STRIPE_COUNT: usize = 16;
 /// Bits of a [`ValueId`] reserved for the stripe index (`log2(STRIPE_COUNT)`).
 pub const STRIPE_BITS: u32 = STRIPE_COUNT.trailing_zeros();
 
-/// Maximum number of distinct values one stripe may hold: the top
-/// stripe-local index is **reserved** so that no legal id ever equals the
-/// [`ValueId::dummy`] sentinel (`u32::MAX`, which would otherwise be the
-/// encoding of local index `2^28 - 1` in the last stripe).
-pub const MAX_STRIPE_VALUES: u32 = (1 << (32 - STRIPE_BITS)) - 1;
+/// Maximum number of distinct values one stripe may hold.  Stripe ids use
+/// the low 31 bits only, so they never collide with the canonical bitstring
+/// ids of the tagged range (`2³¹ ..`, see the module docs) nor with the
+/// [`ValueId::dummy`] sentinel (`u32::MAX`); the top stripe-local index is
+/// reserved.
+pub const MAX_STRIPE_VALUES: u32 = (1 << (31 - STRIPE_BITS)) - 1;
+
+/// Longest bitstring with a canonical id ([`ValueId::of_bits`]).  Its heap
+/// index `(1 << len) | bits` stays below `2³⁰`, so tagged ids stay below
+/// `2³¹ + 2³⁰` and never reach the [`ValueId::dummy`] sentinel.  Segment
+/// trees over up to 2²⁸ endpoints have no deeper node.
+pub const BITS_ID_MAX_LEN: u8 = 29;
+
+/// The tag bit of canonical bitstring ids: set on every
+/// [`ValueId::of_bits`] id, clear on every stripe id.
+const BITS_TAG: u32 = 1 << 31;
 
 /// A dense identifier of an interned [`Value`].
 ///
 /// Ids are only meaningful relative to the shared dictionary; two ids are
 /// equal if and only if the values they intern are equal.  The `Ord` on ids
-/// is an arbitrary stable order (stripe, then interning order within the
-/// stripe), not the value order — sort by resolved values when value order
-/// matters.
+/// is the unsigned order of the raw words: stripe ids (by stripe-local
+/// interning order, then stripe) before canonical bitstring ids (by heap
+/// index: shorter bitstrings first, then by bits).  It is deterministic
+/// within one dictionary but is not the value order — sort by resolved
+/// values when value order matters.
 ///
 /// The representation is `#[repr(transparent)]` over the raw `u32`: the SIMD
 /// kernels ([`crate::kernels`]) rely on this to reinterpret `&[ValueId]` as
@@ -126,13 +162,45 @@ impl ValueId {
     }
 
     /// A placeholder id used to pre-size buffers.  The sentinel is
-    /// **unrepresentable**: striped dictionaries reserve the top stripe-local
-    /// index ([`MAX_STRIPE_VALUES`]) and standalone [`Dictionary`] stores
-    /// reserve the top dense id, so no interned value is ever assigned
-    /// `u32::MAX` and the placeholder can never alias a real id.  Resolving
-    /// it always panics.
+    /// **unrepresentable**: stripe ids stay below `2³¹`
+    /// ([`MAX_STRIPE_VALUES`]), canonical bitstring ids below `2³¹ + 2³⁰`
+    /// ([`BITS_ID_MAX_LEN`]), and standalone [`Dictionary`] stores reserve
+    /// the top dense id, so no value is ever assigned `u32::MAX` and the
+    /// placeholder can never alias a real id.  Resolving it always panics.
     pub fn dummy() -> ValueId {
         ValueId(u32::MAX)
+    }
+
+    /// The canonical id of a bitstring of length at most
+    /// [`BITS_ID_MAX_LEN`]: its heap index ([`BitString::heap_index`]) in
+    /// the tagged range.  The id is the same in every dictionary and needs
+    /// no interning (see the module docs); `None` for longer bitstrings,
+    /// which intern through the stripes.
+    #[inline]
+    pub fn of_bits(bits: BitString) -> Option<ValueId> {
+        (bits.len() <= BITS_ID_MAX_LEN).then(|| ValueId(BITS_TAG | bits.heap_index() as u32))
+    }
+
+    /// The bitstring behind a canonical bitstring id (the inverse of
+    /// [`ValueId::of_bits`]); `None` for stripe ids, the
+    /// [`ValueId::dummy`] sentinel and any other raw word `of_bits` never
+    /// produces.
+    #[inline]
+    pub fn as_bits(self) -> Option<BitString> {
+        let index = self.0 & !BITS_TAG;
+        if self.0 & BITS_TAG == 0 || index >= 1 << (BITS_ID_MAX_LEN + 1) {
+            return None;
+        }
+        BitString::from_heap_index(u64::from(index))
+    }
+}
+
+/// The canonical id of a value that needs no interning: a short bitstring.
+#[inline]
+fn canonical_id(value: &Value) -> Option<ValueId> {
+    match value {
+        Value::Bits(bits) => ValueId::of_bits(*bits),
+        _ => None,
     }
 }
 
@@ -147,15 +215,15 @@ fn stripe_of(value: &Value) -> usize {
 
 /// Combines a stripe-local dense id with its stripe index into a global id.
 ///
-/// The top local index is reserved ([`MAX_STRIPE_VALUES`]): without the
-/// reservation, a full last stripe would hand out `u32::MAX` — the
-/// [`ValueId::dummy`] sentinel — as a legal id, silently aliasing every
-/// buffer placeholder in the system.
+/// Local indices are capped ([`MAX_STRIPE_VALUES`]) so that every stripe id
+/// stays below the tag bit of the canonical bitstring ids: without the cap,
+/// a full stripe would hand out ids aliasing bitstrings (and, in the last
+/// stripe, the [`ValueId::dummy`] sentinel).
 fn encode(local: ValueId, stripe: usize) -> ValueId {
     assert!(
         local.0 < MAX_STRIPE_VALUES,
         "dictionary stripe overflow: more than {MAX_STRIPE_VALUES} distinct values in one \
-         stripe (the top local index is reserved for the ValueId::dummy sentinel)"
+         stripe (stripe ids must stay below the bitstring tag bit)"
     );
     ValueId((local.0 << STRIPE_BITS) | stripe as u32)
 }
@@ -230,8 +298,13 @@ impl SharedDictionary {
 
     /// Interns `value`: returns the existing id when the value was seen
     /// before (taking only a stripe *read* lock), otherwise assigns the next
-    /// id of the value's stripe under that stripe's write lock.
+    /// id of the value's stripe under that stripe's write lock.  Bitstrings
+    /// with a canonical id ([`ValueId::of_bits`]) return it without touching
+    /// a stripe.
     pub fn intern(&self, value: Value) -> ValueId {
+        if let Some(id) = canonical_id(&value) {
+            return id;
+        }
         let stripe = stripe_of(&value);
         let lock = &self.stripes[stripe];
         if let Some(local) = read_recover(lock, DICT_STRIPE).lookup(&value) {
@@ -248,12 +321,19 @@ impl SharedDictionary {
     ///
     /// Panics if the id was not produced by this dictionary.
     pub fn resolve(&self, id: ValueId) -> Value {
+        if let Some(bits) = id.as_bits() {
+            return Value::Bits(bits);
+        }
         let (stripe, local) = decode(id);
         read_recover(&self.stripes[stripe], DICT_STRIPE).resolve(local)
     }
 
     /// The id of a value, if it has been interned through this handle.
+    /// Bitstrings with a canonical id always have one.
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+        if let Some(id) = canonical_id(value) {
+            return Some(id);
+        }
         let stripe = stripe_of(value);
         read_recover(&self.stripes[stripe], DICT_STRIPE)
             .lookup(value)
@@ -261,7 +341,8 @@ impl SharedDictionary {
     }
 
     /// Total number of distinct values interned through this handle (sums
-    /// the stripes; a snapshot under concurrent interning).
+    /// the stripes; a snapshot under concurrent interning).  Bitstrings with
+    /// a canonical id are never interned and never counted.
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
@@ -412,12 +493,19 @@ impl DictReader<'_> {
     ///
     /// Panics if the id was not produced by the pinned dictionary.
     pub fn resolve(&self, id: ValueId) -> Value {
+        if let Some(bits) = id.as_bits() {
+            return Value::Bits(bits);
+        }
         let (stripe, local) = decode(id);
         self.guards[stripe].resolve(local)
     }
 
-    /// The pinned dictionary's id of a value, if it has been interned.
+    /// The pinned dictionary's id of a value, if it has been interned (always
+    /// for bitstrings with a canonical id).
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+        if let Some(id) = canonical_id(value) {
+            return Some(id);
+        }
         let stripe = stripe_of(value);
         self.guards[stripe].lookup(value).map(|l| encode(l, stripe))
     }
@@ -568,23 +656,24 @@ mod tests {
     fn the_dummy_sentinel_is_unrepresentable() {
         // Regression: `encode(local = 2^28 - 1, stripe = 15)` used to equal
         // `u32::MAX` — exactly `ValueId::dummy()` — so a full last stripe
-        // would hand the sentinel out as a real id.  The top local index is
-        // now reserved: the largest legal id in every stripe stays strictly
-        // below the sentinel.
+        // would hand the sentinel out as a real id.  Local indices are
+        // capped below 2^27: the largest legal id in every stripe stays below
+        // the bitstring tag bit, hence below the sentinel.
         for stripe in 0..STRIPE_COUNT {
             let max_legal = encode(ValueId(MAX_STRIPE_VALUES - 1), stripe);
             assert_ne!(max_legal, ValueId::dummy(), "stripe {stripe}");
-            assert!(max_legal.raw() < u32::MAX, "stripe {stripe}");
+            assert!(max_legal.raw() < BITS_TAG, "stripe {stripe}");
+            assert_eq!(max_legal.as_bits(), None, "stripe {stripe}");
             // The encoding still round-trips at the reserved boundary.
             assert_eq!(decode(max_legal), (stripe, ValueId(MAX_STRIPE_VALUES - 1)));
         }
     }
 
     #[test]
-    #[should_panic(expected = "reserved for the ValueId::dummy sentinel")]
+    #[should_panic(expected = "must stay below the bitstring tag bit")]
     fn the_reserved_local_index_is_rejected() {
-        // The local index that would encode to the sentinel (in the last
-        // stripe) trips the overflow assert instead of aliasing it.
+        // The capped local index trips the overflow assert instead of
+        // handing out an id next to the tagged range.
         let _ = encode(ValueId(MAX_STRIPE_VALUES), STRIPE_COUNT - 1);
     }
 

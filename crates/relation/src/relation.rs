@@ -476,44 +476,52 @@ impl Relation {
         self.fingerprint = std::sync::OnceLock::new();
     }
 
-    /// Sorts the tuples (by value order) and removes duplicates (set
-    /// semantics).
+    /// Sorts the tuples and removes duplicates (set semantics).
+    ///
+    /// Rows come out in **raw-id order**: lexicographic over the columns,
+    /// each compared by the raw unsigned order of its [`ValueId`]s.  Ids are
+    /// canonical per value within one dictionary, so the order is
+    /// deterministic for a given dictionary, but it is not the value order:
+    /// the same rows interned into another dictionary may come out in
+    /// another order.  No id is resolved.  Arity 1 sorts the column itself;
+    /// arities 2–8 sort row keys packed two ids per `u64` word (one word at
+    /// arity 2, up to four at arity 8); wider rows sort row indices column
+    /// by column.
     pub fn dedup(&mut self) {
         let n = self.len();
         if n <= 1 {
             return;
         }
         self.fingerprint = std::sync::OnceLock::new();
-        if self.arity == 0 {
+        let cols = &mut self.columns.cols;
+        match cols.len() {
             // All zero-arity rows are identical.
-            self.columns.len = 1;
-            return;
-        }
-        // Sort row indices by the resolved value order (id order is interning
-        // order, which would not be deterministic across construction paths).
-        let resolved: Vec<Vec<Value>> = {
-            let dict = self.dict.reader();
-            self.columns
-                .cols
-                .iter()
-                .map(|col| col.iter().map(|&id| dict.resolve(id)).collect())
-                .collect()
-        };
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&a, &b| {
-            for col in &resolved {
-                match col[a].cmp(&col[b]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
+            0 => {
+                self.columns.len = 1;
+                return;
             }
-            std::cmp::Ordering::Equal
-        });
-        order.dedup_by(|a, b| {
-            let (a, b) = (*a, *b);
-            self.columns.cols.iter().all(|col| col[a] == col[b])
-        });
-        self.columns = gather_columns(&self.columns, &order);
+            1 => {
+                cols[0].sort_unstable();
+                cols[0].dedup();
+                cols[0].shrink_to_fit();
+            }
+            2 => dedup_packed::<1>(cols),
+            3 | 4 => dedup_packed::<2>(cols),
+            5 | 6 => dedup_packed::<3>(cols),
+            7 | 8 => dedup_packed::<4>(cols),
+            _ => {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_unstable_by(|&a, &b| {
+                    cols.iter()
+                        .map(|col| col[a])
+                        .cmp(cols.iter().map(|col| col[b]))
+                });
+                order.dedup_by(|a, b| cols.iter().all(|col| col[*a] == col[*b]));
+                self.columns = gather_columns(&self.columns, &order);
+                return;
+            }
+        }
+        self.columns.len = cols[0].len();
     }
 
     /// Projects the relation onto the given column indices (keeping
@@ -598,6 +606,32 @@ impl Relation {
             .map(|&id| dict.resolve(id))
             .collect();
         values.into_iter()
+    }
+}
+
+/// A row of raw ids packed two per `u64` word, the first column in the high
+/// half of the first word and any unused half zero, so the lexicographic
+/// order of the words is the raw-id order of the rows ([`Relation::dedup`]).
+fn pack_row<const W: usize>(cols: &[Vec<ValueId>], row: usize) -> [u64; W] {
+    let mut key = [0u64; W];
+    for (c, col) in cols.iter().enumerate() {
+        key[c / 2] |= u64::from(col[row].raw()) << (32 * (1 - c % 2));
+    }
+    key
+}
+
+/// Sorts and deduplicates the rows of `cols` (at most `2 * W` columns)
+/// through packed keys ([`pack_row`]), rebuilding every column from the
+/// distinct keys.
+fn dedup_packed<const W: usize>(cols: &mut [Vec<ValueId>]) {
+    let mut keys: Vec<[u64; W]> = (0..cols[0].len()).map(|row| pack_row(cols, row)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    for (c, col) in cols.iter_mut().enumerate() {
+        *col = keys
+            .iter()
+            .map(|key| ValueId::from_raw((key[c / 2] >> (32 * (1 - c % 2))) as u32))
+            .collect();
     }
 }
 

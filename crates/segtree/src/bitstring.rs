@@ -203,12 +203,28 @@ impl BitString {
         (0..=self.len).map(|n| self.prefix(n)).collect()
     }
 
-    /// An iterator over all ways of writing this bitstring as a concatenation
-    /// of `parts` (possibly empty) bitstrings — the set `𝔉(u, i)` used in the
-    /// proof of Lemma 4.10.  The number of compositions of a string of length
-    /// `ℓ` into `i` parts is `C(ℓ + i - 1, i - 1) = O(ℓ^{i-1})`.
-    pub fn compositions(self, parts: usize) -> Compositions {
-        Compositions::new(self, parts)
+    /// The node's 1-based heap index `(1 << len) | bits`: the root is `1` and
+    /// node `j` has children `2j` / `2j + 1` — the 0-based `2i + 1` /
+    /// `2i + 2` numbering of [`FlatSegmentTree`](crate::FlatSegmentTree)
+    /// plus one.  The leading `1` marks the length, so the index is injective
+    /// over all bitstrings: a canonical integer name for a segment-tree node.
+    #[inline]
+    pub fn heap_index(self) -> u64 {
+        (1u64 << self.len) | self.bits
+    }
+
+    /// The bitstring with the given 1-based heap index (the inverse of
+    /// [`BitString::heap_index`]); `None` for `0`, which names no node.
+    #[inline]
+    pub fn from_heap_index(index: u64) -> Option<BitString> {
+        if index == 0 {
+            return None;
+        }
+        let len = (u64::BITS - 1 - index.leading_zeros()) as u8;
+        Some(BitString {
+            bits: index ^ (1u64 << len),
+            len,
+        })
     }
 
     /// Number of compositions into `parts` parts (binomial `C(len+parts-1, parts-1)`).
@@ -247,76 +263,79 @@ impl fmt::Debug for BitString {
     }
 }
 
-/// Iterator over the compositions of a bitstring into a fixed number of
-/// (possibly empty) parts.
+/// A reusable walk over the compositions of a bitstring into a fixed number
+/// of (possibly empty) parts — the set `𝔉(u, i)` used in the proof of
+/// Lemma 4.10.  The number of compositions of a string of length `ℓ` into
+/// `i` parts is `C(ℓ + i - 1, i - 1) = O(ℓ^{i-1})`
+/// ([`BitString::composition_count`]).
 ///
-/// Produced by [`BitString::compositions`].
-pub struct Compositions {
-    source: BitString,
-    /// Cut positions `0 <= c_1 <= c_2 <= ... <= c_{parts-1} <= len`.
+/// The walk hands out parts by value and keeps its only state — the cut
+/// positions — in a buffer reused across calls, so enumerating compositions
+/// allocates nothing once the buffer has grown to `parts - 1` cuts.
+#[derive(Debug, Clone, Default)]
+pub struct CompositionWalk {
+    /// Cut positions `0 <= c_1 <= c_2 <= ... <= c_{parts-1} <= len` of the
+    /// current composition.
     cuts: Vec<u8>,
-    parts: usize,
-    done: bool,
 }
 
-impl Compositions {
-    fn new(source: BitString, parts: usize) -> Self {
-        let done = parts == 0 && !source.is_empty();
-        Compositions {
-            source,
-            cuts: vec![0; parts.saturating_sub(1)],
-            parts,
-            done,
-        }
+impl CompositionWalk {
+    /// A walk with an empty cut buffer.
+    pub fn new() -> Self {
+        CompositionWalk::default()
     }
-}
 
-impl Iterator for Compositions {
-    type Item = Vec<BitString>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
+    /// Visits every composition of `source` into `parts` parts, calling
+    /// `part` on each part in order — `parts` calls per composition,
+    /// compositions one after the other — and returns the number of
+    /// compositions.  Only the empty string decomposes into zero parts (one
+    /// composition, no `part` calls).
+    pub fn for_each_part(
+        &mut self,
+        source: BitString,
+        parts: usize,
+        mut part: impl FnMut(BitString),
+    ) -> usize {
+        if parts == 0 {
+            return usize::from(source.is_empty());
         }
-        if self.parts == 0 {
-            // Only the empty string decomposes into zero parts.
-            self.done = true;
-            return Some(Vec::new());
-        }
-        // Build the current composition from the cut positions.
-        let mut parts = Vec::with_capacity(self.parts);
-        let mut prev = 0u8;
-        for &cut in &self.cuts {
-            parts.push(self.source.prefix(cut).suffix(prev));
-            prev = cut;
-        }
-        parts.push(self.source.suffix(prev));
-
-        // Advance the cut vector (non-decreasing sequences over 0..=len).
-        let len = self.source.len();
-        let mut i = self.cuts.len();
+        let len = source.len();
+        self.cuts.clear();
+        self.cuts.resize(parts - 1, 0);
+        let mut count = 0;
         loop {
-            if i == 0 {
-                self.done = true;
-                break;
+            let mut prev = 0u8;
+            for &cut in &self.cuts {
+                part(source.prefix(cut).suffix(prev));
+                prev = cut;
             }
-            i -= 1;
-            if self.cuts[i] < len {
-                self.cuts[i] += 1;
-                let v = self.cuts[i];
-                for j in i + 1..self.cuts.len() {
-                    self.cuts[j] = v;
-                }
-                break;
-            }
+            part(source.suffix(prev));
+            count += 1;
+            // Advance the cut vector (non-decreasing sequences over 0..=len):
+            // bump the last cut that can move and pull every later cut to it.
+            let Some(i) = self.cuts.iter().rposition(|&c| c < len) else {
+                return count;
+            };
+            let next = self.cuts[i] + 1;
+            self.cuts[i..].fill(next);
         }
-        Some(parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every composition of `b` into `parts` parts, one `Vec` each.
+    fn compositions(b: BitString, parts: usize) -> Vec<Vec<BitString>> {
+        let mut flat = Vec::new();
+        let count = CompositionWalk::new().for_each_part(b, parts, |p| flat.push(p));
+        if parts == 0 {
+            return vec![Vec::new(); count];
+        }
+        assert_eq!(flat.len(), count * parts);
+        flat.chunks(parts).map(<[BitString]>::to_vec).collect()
+    }
 
     #[test]
     fn construction_and_text_round_trip() {
@@ -387,7 +406,7 @@ mod tests {
     #[test]
     fn compositions_enumerate_all_splits() {
         let b = BitString::parse("10").unwrap();
-        let comps: Vec<Vec<BitString>> = b.compositions(2).collect();
+        let comps: Vec<Vec<BitString>> = compositions(b, 2);
         // ℓ = 2, i = 2 → C(3,1) = 3 compositions: (ε,10), (1,0), (10,ε).
         assert_eq!(comps.len(), 3);
         assert_eq!(comps.len() as u64, b.composition_count(2));
@@ -405,7 +424,7 @@ mod tests {
     #[test]
     fn compositions_into_three_parts() {
         let b = BitString::parse("0110").unwrap();
-        let comps: Vec<Vec<BitString>> = b.compositions(3).collect();
+        let comps: Vec<Vec<BitString>> = compositions(b, 3);
         // C(4+2, 2) = 15.
         assert_eq!(comps.len(), 15);
         assert_eq!(b.composition_count(3), 15);
@@ -416,18 +435,55 @@ mod tests {
 
     #[test]
     fn compositions_of_empty_string() {
-        let comps: Vec<Vec<BitString>> = BitString::empty().compositions(2).collect();
+        let comps: Vec<Vec<BitString>> = compositions(BitString::empty(), 2);
         assert_eq!(comps, vec![vec![BitString::empty(), BitString::empty()]]);
-        let comps0: Vec<Vec<BitString>> = BitString::empty().compositions(0).collect();
+        let comps0: Vec<Vec<BitString>> = compositions(BitString::empty(), 0);
         assert_eq!(comps0, vec![Vec::new()]);
-        let none: Vec<Vec<BitString>> = BitString::parse("1").unwrap().compositions(0).collect();
+        let none: Vec<Vec<BitString>> = compositions(BitString::parse("1").unwrap(), 0);
         assert!(none.is_empty());
     }
 
     #[test]
     fn single_part_composition_is_identity() {
         let b = BitString::parse("0101").unwrap();
-        let comps: Vec<Vec<BitString>> = b.compositions(1).collect();
+        let comps: Vec<Vec<BitString>> = compositions(b, 1);
         assert_eq!(comps, vec![vec![b]]);
+    }
+
+    #[test]
+    fn one_walk_serves_many_sources() {
+        // The reused cut buffer must not leak state between sources or part
+        // counts.
+        let mut walk = CompositionWalk::new();
+        for text in ["0110", "", "1", "10101", "0"] {
+            let b = BitString::parse(text).unwrap();
+            for parts in [3, 1, 2, 0, 4] {
+                let mut flat = Vec::new();
+                let count = walk.for_each_part(b, parts, |p| flat.push(p));
+                assert_eq!(count as u64, b.composition_count(parts), "{text} / {parts}");
+                assert_eq!(flat, compositions(b, parts).concat(), "{text} / {parts}");
+            }
+        }
+    }
+
+    #[test]
+    fn heap_index_is_the_one_based_heap_numbering() {
+        assert_eq!(BitString::empty().heap_index(), 1);
+        assert_eq!(BitString::parse("0").unwrap().heap_index(), 2);
+        assert_eq!(BitString::parse("1").unwrap().heap_index(), 3);
+        assert_eq!(BitString::parse("101").unwrap().heap_index(), 0b1101);
+        assert_eq!(BitString::from_heap_index(0), None);
+        // Children of heap index j sit at 2j and 2j + 1; the inverse
+        // round-trips at every length, up to the longest bitstring.
+        let mut b = BitString::empty();
+        for i in 0..MAX_BITS {
+            let j = b.heap_index();
+            assert_eq!(b.child(false).heap_index(), 2 * j);
+            assert_eq!(b.child(true).heap_index(), 2 * j + 1);
+            assert_eq!(BitString::from_heap_index(j), Some(b));
+            b = b.child(i % 3 == 0);
+        }
+        assert_eq!(b.len(), MAX_BITS);
+        assert_eq!(BitString::from_heap_index(b.heap_index()), Some(b));
     }
 }

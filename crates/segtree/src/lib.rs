@@ -40,7 +40,7 @@ mod intervaltree;
 mod ordf64;
 mod tree;
 
-pub use bitstring::{BitString, Compositions, MAX_BITS};
+pub use bitstring::{BitString, CompositionWalk, MAX_BITS};
 pub use dyadic::{dyadic_interval, DyadicEmbedding, MAX_DEPTH as DYADIC_MAX_DEPTH};
 pub use flat::FlatSegmentTree;
 pub use interval::{Interval, IntervalError};

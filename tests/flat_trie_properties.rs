@@ -7,7 +7,10 @@
 //!   implementations (and from a brute-force oracle) on arbitrary sorted
 //!   distinct runs, including the adversarial shapes where galloping
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
-//!   that are not a multiple of the linear-probe span;
+//!   that are not a multiple of the linear-probe span.  Runs are drawn both
+//!   at the bottom of the id space and across `2^31`, where stripe ids end
+//!   and the canonical bitstring ids of every transformed column begin (the
+//!   boundary of the AVX2 arm's biased signed compares);
 //! * **generic join** — Boolean and enumerated answers must equal a
 //!   brute-force nested loop over the input rows, and be bit-identical across
 //!   shard counts and cache configurations;
@@ -26,16 +29,35 @@ use ij_relation::kernels::{
 use ij_relation::{Database, Query, Relation, Value, ValueId};
 use proptest::prelude::*;
 
-/// A sorted, distinct run of ids — the invariant every flat-trie run holds.
-/// The raw domain spans several gallop spans so seeks overshoot and settle.
-fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<ValueId>> {
+/// A sorted, distinct run of raw id offsets — the invariant every flat-trie
+/// run holds once placed in a window ([`in_window`]).  The domain spans
+/// several gallop spans so seeks overshoot and settle.
+fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..(12 * GALLOP_LINEAR_SPAN as u32), 0..=max_len).prop_map(
         |mut raw| {
             raw.sort_unstable();
             raw.dedup();
-            raw.into_iter().map(ValueId::from_raw).collect()
+            raw
         },
     )
+}
+
+/// Bases of the id windows the kernel properties run in: the bottom of the
+/// stripe-id range, and a window whose upper half lies in the tagged range
+/// of canonical bitstring ids (raw `>= 2^31`, `ValueId::of_bits`).
+const WINDOW_BASES: [u32; 2] = [0, (1 << 31) - 6 * GALLOP_LINEAR_SPAN as u32];
+
+/// A window base from [`WINDOW_BASES`].
+fn arb_window() -> impl Strategy<Value = u32> {
+    (0usize..WINDOW_BASES.len()).prop_map(|i| WINDOW_BASES[i])
+}
+
+/// The ids of a run of offsets placed at a window base.
+fn in_window(offsets: &[u32], base: u32) -> Vec<ValueId> {
+    offsets
+        .iter()
+        .map(|&o| ValueId::from_raw(base + o))
+        .collect()
 }
 
 /// A random interval over a small integer domain (ties and overlaps likely).
@@ -89,8 +111,10 @@ proptest! {
     fn gallop_seek_matches_the_scalar_reference(
         run in arb_run(5 * GALLOP_LINEAR_SPAN),
         target_raw in 0u32..(14 * GALLOP_LINEAR_SPAN as u32),
+        base in arb_window(),
     ) {
-        let target = ValueId::from_raw(target_raw);
+        let run = in_window(&run, base);
+        let target = ValueId::from_raw(base + target_raw);
         for start in 0..=run.len() {
             let fast = gallop_seek(&run, start, target);
             let slow = gallop_seek_scalar(&run, start, target);
@@ -110,7 +134,9 @@ proptest! {
     fn intersect_gallop_matches_the_scalar_reference(
         a in arb_run(6 * GALLOP_LINEAR_SPAN),
         b in arb_run(2 * GALLOP_LINEAR_SPAN + 3),
+        base in arb_window(),
     ) {
+        let (a, b) = (in_window(&a, base), in_window(&b, base));
         let (mut fast, mut slow, mut swapped) = (Vec::new(), Vec::new(), Vec::new());
         intersect_sorted_gallop(&a, &b, &mut fast);
         intersect_sorted_scalar(&a, &b, &mut slow);
@@ -128,7 +154,9 @@ proptest! {
     #[test]
     fn leapfrog_matches_scalar_and_oracle(
         runs in proptest::collection::vec(arb_run(4 * GALLOP_LINEAR_SPAN), 1..=4),
+        base in arb_window(),
     ) {
+        let runs: Vec<Vec<ValueId>> = runs.iter().map(|r| in_window(r, base)).collect();
         let slices: Vec<&[ValueId]> = runs.iter().map(|r| r.as_slice()).collect();
         let collect = |next: fn(&[&[ValueId]], &mut [usize]) -> Option<ValueId>| {
             let mut cursors = vec![0usize; slices.len()];
@@ -269,6 +297,20 @@ fn adversarial_runs_intersect_identically() {
         (
             (0..10 * span).step_by(7).map(ValueId::from_raw).collect(), // sparse strides
             (0..10 * span).step_by(3).map(ValueId::from_raw).collect(),
+        ),
+        (
+            ids(&[0x7FFF_FFFE, 0x7FFF_FFFF, 0x8000_0000, 0x8000_0001]), // across the
+            ids(&[0x7FFF_FFFF, 0x8000_0000]),                           // tag boundary
+        ),
+        (
+            ((1 << 31) - 2 * span..(1 << 31) + 2 * span) // straddling runs,
+                .step_by(2)
+                .map(ValueId::from_raw)
+                .collect(),
+            ((1 << 31) - 3 * span..(1 << 31) + 3 * span) // stride 3 vs 2
+                .step_by(3)
+                .map(ValueId::from_raw)
+                .collect(),
         ),
     ];
     for (a, b) in &cases {

@@ -408,3 +408,189 @@ fn distinct_left_endpoint_transformation_preserves_answers() {
         assert_eq!(before, after, "seed {seed}");
     }
 }
+
+/// FNV-1a over a byte string: a checksum that is stable across processes,
+/// platforms and toolchains (unlike `DefaultHasher`).
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The forward reduction's output is pinned per scenario database: the
+/// number of reduced queries and relations, the total transformed-tuple
+/// count, and a checksum of every relation's name and value-sorted rows.
+/// The checksum resolves ids to values, so it is independent of how ids
+/// are assigned and of the row order `Relation::dedup` leaves behind; any
+/// change to *what* the reduction emits trips it.
+#[test]
+fn transformed_databases_are_pinned_across_scenario_families() {
+    use ij_reduction::{forward_reduction_with, EncodingStrategy, ReductionConfig};
+    use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
+
+    // (label, reduced queries, relations, transformed tuples, checksum).
+    const EXPECTED: &[(&str, usize, usize, usize, u64)] = &[
+        (
+            "temporal-overlap/natural/flat",
+            6,
+            9,
+            5760,
+            0xfdbc0a65c42885ae,
+        ),
+        (
+            "temporal-overlap/natural/decomposed",
+            6,
+            9,
+            5760,
+            0xfdbc0a65c42885ae,
+        ),
+        (
+            "temporal-overlap/near-miss/flat",
+            6,
+            9,
+            5749,
+            0x56eed3e3146f60eb,
+        ),
+        (
+            "temporal-overlap/near-miss/decomposed",
+            6,
+            9,
+            5749,
+            0x56eed3e3146f60eb,
+        ),
+        ("ip-ranges/natural/flat", 36, 27, 68637, 0xf6a947449b778ad8),
+        (
+            "ip-ranges/natural/decomposed",
+            36,
+            21,
+            2896,
+            0x88ffce2b1ea55ebd,
+        ),
+        (
+            "ip-ranges/near-miss/flat",
+            36,
+            27,
+            69279,
+            0xb29fe101cd1e6585,
+        ),
+        (
+            "ip-ranges/near-miss/decomposed",
+            36,
+            21,
+            2903,
+            0x844681636d57d2c0,
+        ),
+        (
+            "genomic-overlap/natural/flat",
+            4,
+            8,
+            3612,
+            0x54e55018057b3e30,
+        ),
+        (
+            "genomic-overlap/natural/decomposed",
+            4,
+            9,
+            1140,
+            0x40916d1ed0a15ff9,
+        ),
+        (
+            "genomic-overlap/near-miss/flat",
+            4,
+            8,
+            4502,
+            0x2b0998b664041d58,
+        ),
+        (
+            "genomic-overlap/near-miss/decomposed",
+            4,
+            9,
+            1221,
+            0xb83d98fd9040f2c6,
+        ),
+        (
+            "spatial-rectangles/natural/flat",
+            8,
+            12,
+            11537,
+            0x935cc8d100ff65e7,
+        ),
+        (
+            "spatial-rectangles/natural/decomposed",
+            8,
+            15,
+            1899,
+            0x9607b18874316c33,
+        ),
+        (
+            "spatial-rectangles/near-miss/flat",
+            8,
+            12,
+            13379,
+            0x2d41a141d3513564,
+        ),
+        (
+            "spatial-rectangles/near-miss/decomposed",
+            8,
+            15,
+            2038,
+            0x0a43e4dc372b4cc3,
+        ),
+    ];
+
+    let mut got: Vec<(String, usize, usize, usize, u64)> = Vec::new();
+    for family in ScenarioFamily::ALL {
+        let n = match family {
+            ScenarioFamily::IpRanges => 10,
+            _ => 24,
+        };
+        for (mode, planted, selectivity, skew) in [
+            ("natural", PlantedAnswer::Natural, 0.5, 1.0),
+            ("near-miss", PlantedAnswer::NearMiss, 1.0, 4.0),
+        ] {
+            let scenario = build_scenario(
+                &ScenarioConfig::new(family)
+                    .with_tuples(n)
+                    .with_seed(7)
+                    .with_selectivity(selectivity)
+                    .with_skew(skew)
+                    .with_planted(planted),
+            );
+            for (encoding, tag) in [
+                (EncodingStrategy::Flat, "flat"),
+                (EncodingStrategy::Decomposed, "decomposed"),
+            ] {
+                let fr = forward_reduction_with(
+                    &scenario.query,
+                    &scenario.database,
+                    ReductionConfig { encoding },
+                )
+                .unwrap();
+                let mut checksum = 0xcbf2_9ce4_8422_2325;
+                for rel in fr.database.relations() {
+                    let mut rows = rel.tuples();
+                    rows.sort();
+                    checksum = fnv1a(format!("{}:{rows:?};", rel.name()).as_bytes(), checksum);
+                }
+                got.push((
+                    format!("{}/{mode}/{tag}", family.name()),
+                    fr.stats.num_queries,
+                    fr.stats.num_relations,
+                    fr.stats.transformed_tuples,
+                    checksum,
+                ));
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(l, q, r, t, c)| format!("        (\"{l}\", {q}, {r}, {t}, {c:#018x}),\n"))
+        .collect();
+    let expected: Vec<(String, usize, usize, usize, u64)> = EXPECTED
+        .iter()
+        .map(|&(l, q, r, t, c)| (l.to_string(), q, r, t, c))
+        .collect();
+    assert_eq!(got, expected, "computed table:\n{table}");
+}

@@ -1,7 +1,9 @@
 //! Property-based tests for the segment-tree substrate (Section 3,
 //! Property 3.2 and the intersection-predicate rewritings of Section 4.1).
 
-use ij_segtree::{BitString, FlatSegmentTree, Interval, IntervalTree, SegmentTree};
+use ij_segtree::{
+    BitString, CompositionWalk, FlatSegmentTree, Interval, IntervalTree, SegmentTree,
+};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -115,11 +117,11 @@ proptest! {
         let tree = SegmentTree::build(&intervals);
         for &iv in &intervals {
             let leaf = tree.leaf_of_interval(iv);
-            let mut count = 0usize;
-            for composition in leaf.compositions(parts) {
+            let mut flat = Vec::new();
+            let count = CompositionWalk::new().for_each_part(leaf, parts, |p| flat.push(p));
+            prop_assert_eq!(flat.len(), count * parts);
+            for composition in flat.chunks(parts) {
                 prop_assert_eq!(BitString::concat_all(composition.iter().copied()), leaf);
-                prop_assert_eq!(composition.len(), parts);
-                count += 1;
             }
             prop_assert_eq!(count as u64, leaf.composition_count(parts));
         }
